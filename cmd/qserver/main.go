@@ -122,6 +122,12 @@ func run(args []string, ready func(addr string)) int {
 	mux.Handle("/ledger", rsrv.Handler())
 	mux.Handle("/", osrv.Handler())
 
+	// Install the signal handler before the listener exists and before
+	// ready announces it: a SIGTERM that lands right after readiness must
+	// take the graceful path (WAL sync, serve_end), not Go's default
+	// handler, which kills the process outright.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "qserver: %v\n", err)
@@ -145,8 +151,6 @@ func run(args []string, ready func(addr string)) int {
 		ready(bound)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	status := 0
 	select {
 	case <-ctx.Done():

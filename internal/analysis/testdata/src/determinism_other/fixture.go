@@ -12,3 +12,10 @@ import (
 func Render() (time.Time, int) {
 	return time.Now(), rand.Intn(10)
 }
+
+// Jitter draws inside a map range; out of scope here as well.
+func Jitter(rng *rand.Rand, cells map[string]int) {
+	for k := range cells {
+		cells[k] += rng.Intn(3)
+	}
+}

@@ -2,6 +2,7 @@ package census
 
 import (
 	"math/rand"
+	"sort"
 
 	"singlingout/internal/dataset"
 	"singlingout/internal/dp"
@@ -47,9 +48,18 @@ func SwapRecords(rng *rand.Rand, pop *dataset.Dataset, rate float64) *dataset.Da
 func NoisyTables(rng *rand.Rand, tables []BlockTables, eps float64) []BlockTables {
 	out := make([]BlockTables, len(tables))
 	noise := func(cells map[[2]int]int) map[[2]int]int {
+		// Draw in sorted cell order: map order is randomized per run, and
+		// the same stream must land on the same cells every time.
+		keys := make([][2]int, 0, len(cells))
+		for k := range cells {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool {
+			return keys[i][0] < keys[j][0] || (keys[i][0] == keys[j][0] && keys[i][1] < keys[j][1])
+		})
 		res := map[[2]int]int{}
-		for k, v := range cells {
-			n := int(dp.GeometricCount(rng, int64(v), eps))
+		for _, k := range keys {
+			n := int(dp.GeometricCount(rng, int64(cells[k]), eps))
 			if n > 0 {
 				res[k] = n
 			}

@@ -3,15 +3,72 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestAllRunnersProduceTables smoke-runs every registered experiment in
-// quick mode and checks the tables are well formed.
+// goldenPath holds the committed rendering of every table at seed 1 in
+// quick mode: the stdout of `repro -quick -seed 1` with each
+// `[ID completed in …]` wall-time line masked. EXPERIMENTS.md gives the
+// command that regenerates it.
+const goldenPath = "testdata/quick-seed1.golden"
+
+var goldenMarker = regexp.MustCompile(`^  \[([A-Z0-9]+) completed in …\]$`)
+
+// goldenTables splits the golden file into each table's rendering, keyed
+// by experiment id.
+func goldenTables(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	var cur strings.Builder
+	lines := strings.SplitAfter(string(data), "\n")
+	for i := 0; i < len(lines); i++ {
+		if m := goldenMarker.FindStringSubmatch(strings.TrimSuffix(lines[i], "\n")); m != nil {
+			out[m[1]] = cur.String()
+			cur.Reset()
+			i++ // the blank line after the marker
+			continue
+		}
+		cur.WriteString(lines[i])
+	}
+	return out
+}
+
+// firstDiff describes the first line where got and want differ.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	line := func(ls []string, i int) string {
+		if i < len(ls) {
+			return strconv.Quote(ls[i])
+		}
+		return "<end of table>"
+	}
+	for i := 0; i < len(g) || i < len(w); i++ {
+		if gl, wl := line(g, i), line(w, i); gl != wl {
+			return fmt.Sprintf("first difference at line %d:\n  got:  %s\n  want: %s", i+1, gl, wl)
+		}
+	}
+	return "no difference"
+}
+
+// TestAllRunnersProduceTables runs every registered experiment in quick
+// mode at seed 1, checks the tables are well formed, and compares each
+// rendering with the golden file byte for byte.
 func TestAllRunnersProduceTables(t *testing.T) {
+	golden := goldenTables(t)
+	if len(golden) != len(All()) {
+		t.Errorf("golden file holds %d tables, registry has %d runners", len(golden), len(All()))
+	}
 	for _, r := range All() {
 		r := r
+		want, ok := golden[r.ID]
 		t.Run(r.ID, func(t *testing.T) {
 			t.Parallel()
 			tab, err := r.Run(context.Background(), 1, true)
@@ -29,8 +86,11 @@ func TestAllRunnersProduceTables(t *testing.T) {
 					t.Errorf("row %d width %d != header width %d", i, len(row), len(tab.Header))
 				}
 			}
-			if tab.String() == "" {
-				t.Error("empty rendering")
+			if !ok {
+				t.Fatalf("%s has no table in %s", r.ID, goldenPath)
+			}
+			if got := tab.String(); got != want {
+				t.Errorf("%s differs from %s; %s", r.ID, goldenPath, firstDiff(got, want))
 			}
 		})
 	}

@@ -20,12 +20,14 @@ import (
 var ConvergeThresholds = []float64{0.5, 0.9, 0.95, 0.99}
 
 // StreamResult carries the anytime attack's outcome beyond the printable
-// table: the final reconstruction (so callers can verify the stream
-// reproduced the batch decode bit-for-bit) and the milestone crossings
-// behind the BENCH.converge rows.
+// table: the final reconstruction (so callers can compare it with the
+// batch decode) and the milestone crossings behind the BENCH.converge
+// rows.
 type StreamResult struct {
-	// Final is the reconstruction after the last chunk — byte-identical
-	// to decoding the full answer vector in one batch.
+	// Final is the reconstruction after the last chunk. It attains the
+	// batch decode's optimal L1 objective; its bits equal the batch
+	// decode's when that optimum is unique (exact answers), but with noisy
+	// answers it may be another optimal vertex (see recon.StreamDecoder).
 	Final []int64
 	// Queries is the full workload size m.
 	Queries int
@@ -42,11 +44,12 @@ type StreamResult struct {
 // queries at a time, and re-decodes after every chunk via the streaming
 // LP decoder (each step a warm-started re-solve, see recon.StreamDecoder).
 // Each step appends one point to the "recon.lp.accuracy" curve in curves
-// (x = queries answered, y = fraction of rows recovered), which fans out
-// to /converge SSE tails and attack.converge journal events as the attack
-// runs. The returned table is the queries-to-X%-accuracy summary; the
-// final reconstruction in StreamResult equals the batch decode of the
-// same workload. chunk <= 0 defaults to n/4.
+// (x = queries answered, y = fraction of rows recovered); with a journal
+// attached to curves, each point is also an attack.converge journal event,
+// which /converge SSE tails stream as the attack runs. The returned table
+// is the queries-to-X%-accuracy summary; the final reconstruction in
+// StreamResult is an optimum of the batch decoding LP of the same
+// workload. chunk <= 0 defaults to n/4.
 func E02StreamOverOracle(ctx context.Context, o query.Oracle, truth []int64, seed int64, chunk int, curves *obs.CurveSet) (*Table, *StreamResult, error) {
 	n := o.N()
 	if len(truth) != n {

@@ -1,11 +1,19 @@
 package experiments
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"singlingout/internal/obs"
+	"singlingout/internal/obs/serve"
 	"singlingout/internal/par"
 	"singlingout/internal/query"
 	"singlingout/internal/recon"
@@ -115,5 +123,76 @@ func TestE11StreamConverge(t *testing.T) {
 	}
 	if last := pts[len(pts)-1]; int(last.X) != res.Cells {
 		t.Errorf("last x = %d, want all %d cells", last.X, res.Cells)
+	}
+}
+
+// TestE02StreamOverJournalServer runs the anytime LP attack against a
+// journal-backed observability server: an SSE /converge client connected
+// before the run receives every curve point live, in order, and one
+// connecting after it receives the same points as replay.
+func TestE02StreamOverJournalServer(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	journal := obs.NewJournal(io.Discard)
+	cs := obs.NewCurveSet()
+	cs.SetJournal(journal)
+	s := serve.New(obs.NewRegistry(), journal)
+	s.SetCurves(cs)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	defer s.Close() //nolint:errcheck
+
+	tailConverge := func() io.ReadCloser {
+		t.Helper()
+		req, _ := http.NewRequestWithContext(ctx, "GET", srv.URL+"/converge", nil)
+		req.Header.Set("Accept", "text/event-stream")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Body
+	}
+	readSamples := func(body io.Reader, n int) []obs.CurveSample {
+		t.Helper()
+		var out []obs.CurveSample
+		sc := bufio.NewScanner(body)
+		for len(out) < n && sc.Scan() {
+			if line, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+				var smp obs.CurveSample
+				if err := json.Unmarshal([]byte(line), &smp); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, smp)
+			}
+		}
+		if len(out) < n {
+			t.Fatalf("converge tail ended after %d of %d samples: %v", len(out), n, sc.Err())
+		}
+		return out
+	}
+
+	early := tailConverge()
+	defer early.Close()
+	const seed, n, chunk = int64(5), 32, 8
+	x := synth.BinaryDataset(rand.New(rand.NewSource(seed)), n, 0.5)
+	if _, _, err := E02StreamOverOracle(ctx, &query.Exact{X: x}, x, seed, chunk, cs); err != nil {
+		t.Fatal(err)
+	}
+	want := cs.Curve("recon.lp.accuracy").Points()
+	if len(want) != 4*n/chunk {
+		t.Fatalf("curve has %d points, want %d", len(want), 4*n/chunk)
+	}
+	late := tailConverge()
+	defer late.Close()
+	for name, body := range map[string]io.Reader{"live": early, "replay": late} {
+		got := readSamples(body, len(want))
+		for i, smp := range got {
+			if smp.Name != "recon.lp.accuracy" || smp.X != want[i].X || smp.Y != want[i].Y {
+				t.Errorf("%s sample %d = %+v, want %+v", name, i, smp, want[i])
+			}
+			if i > 0 && smp.X <= got[i-1].X {
+				t.Errorf("%s tail not monotone: x=%d after x=%d", name, smp.X, got[i-1].X)
+			}
+		}
 	}
 }

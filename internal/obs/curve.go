@@ -17,39 +17,28 @@ type CurvePoint struct {
 	Stats map[string]int64 `json:"stats,omitempty"`
 }
 
-// CurveSample is one curve point tagged with its curve name — the unit
-// fanned out to live subscribers, embedded in attack.converge journal
-// events, and streamed over the serve package's SSE /converge endpoint.
+// CurveSample is one curve point tagged with its curve name — the payload
+// of attack.converge journal events, which the serve package's SSE
+// /converge endpoint streams frame by frame.
 type CurveSample struct {
 	Name string `json:"curve"`
 	CurvePoint
 }
 
-// curveRing is how many recent samples a CurveSet retains for subscriber
-// replay (the SSE /converge tail). Full per-curve series are retained
-// separately and served by the JSON /converge snapshot.
-const curveRing = 4096
-
-// mCurveDropped counts samples dropped for slow curve subscribers, the
-// sibling of obs.journal_dropped: an SSE consumer comparing its received
-// sample count against this counter can detect gaps in a tailed curve.
-var mCurveDropped = Default().Counter("obs.curve_dropped")
+// PhaseConverge is the journal phase of a convergence sample: a
+// CurveSet with a journal attached emits one such event per point, and
+// the live /converge tail is the journal filtered to this phase.
+const PhaseConverge = "attack.converge"
 
 // CurveSet is a registry of named convergence curves. Attacks append
 // monotone (x, y) points while they run; the set retains the full series
-// per curve, fans samples out to live subscribers without ever blocking
-// the attack, and — when attached — mirrors every point into a run
-// journal as an attack.converge event and into a Tracer as a Chrome
-// counter event (a Perfetto counter lane climbing next to the span
-// timeline). Safe for concurrent use.
+// per curve and — when attached — mirrors every point into a run journal
+// as an attack.converge event (the journal's subscribers are the live
+// stream) and into a Tracer as a Chrome counter event (a Perfetto counter
+// lane climbing next to the span timeline). Safe for concurrent use.
 type CurveSet struct {
 	mu      sync.Mutex
-	order   []string
 	curves  map[string][]CurvePoint
-	recent  []CurveSample
-	subs    map[int]chan CurveSample
-	nextID  int
-	dropped int64
 	journal *Journal
 	tracer  *Tracer
 }
@@ -67,9 +56,9 @@ var defaultCurves = func() *CurveSet {
 }()
 
 // DefaultCurves returns the process-wide curve set the streaming attack
-// harnesses record into and the serve package's /converge endpoint reads.
-// Its points land on the default tracer as counter events whenever span
-// collection is enabled; cmd tools attach their run journal via
+// harnesses record into and the serve package's JSON /converge snapshot
+// reads. Its points land on the default tracer as counter events whenever
+// span collection is enabled; cmd tools attach their run journal via
 // SetJournal.
 func DefaultCurves() *CurveSet { return defaultCurves }
 
@@ -99,16 +88,8 @@ func (cs *CurveSet) Curve(name string) *Curve {
 	defer cs.mu.Unlock()
 	if _, ok := cs.curves[name]; !ok {
 		cs.curves[name] = nil
-		cs.order = append(cs.order, name)
 	}
 	return &Curve{set: cs, name: name}
-}
-
-// Names returns the curve names in creation order.
-func (cs *CurveSet) Names() []string {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return append([]string(nil), cs.order...)
 }
 
 // Snapshot returns a copy of every curve's full point series.
@@ -122,66 +103,12 @@ func (cs *CurveSet) Snapshot() map[string][]CurvePoint {
 	return out
 }
 
-// Dropped returns the number of samples dropped for slow subscribers.
-func (cs *CurveSet) Dropped() int64 {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	return cs.dropped
-}
-
-// Reset discards every curve, retained sample, and drop count. Live
-// subscribers stay registered; journal and tracer attachments survive.
-func (cs *CurveSet) Reset() {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.order = nil
-	cs.curves = map[string][]CurvePoint{}
-	cs.recent = nil
-	cs.dropped = 0
-}
-
-// Subscribe registers a live tail over every curve in the set: it returns
-// the retained recent samples (replay) and a channel carrying every
-// sample added from now on, with no gap or overlap between the two. The
-// channel buffers buf samples; when the subscriber falls behind, newer
-// samples are dropped for it (counted in Dropped and the
-// obs.curve_dropped metric) rather than blocking the attack. cancel
-// unregisters the subscriber and closes the channel.
-func (cs *CurveSet) Subscribe(buf int) (replay []CurveSample, ch <-chan CurveSample, cancel func()) {
-	if buf < 1 {
-		buf = 1
-	}
-	c := make(chan CurveSample, buf)
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	replay = append(replay, cs.recent...)
-	if cs.subs == nil {
-		cs.subs = map[int]chan CurveSample{}
-	}
-	id := cs.nextID
-	cs.nextID++
-	cs.subs[id] = c
-	var once sync.Once
-	cancel = func() {
-		once.Do(func() {
-			cs.mu.Lock()
-			delete(cs.subs, id)
-			cs.mu.Unlock()
-			close(c)
-		})
-	}
-	return replay, c, cancel
-}
-
 // Curve is one named convergence series of its CurveSet. The zero Curve
 // is not usable; obtain curves from a CurveSet.
 type Curve struct {
 	set  *CurveSet
 	name string
 }
-
-// Name returns the curve's name.
-func (c *Curve) Name() string { return c.name }
 
 // Add appends one (x, y) point. X must be strictly increasing along the
 // curve — the series is indexed by resource spent, which only grows —
@@ -196,43 +123,22 @@ func (c *Curve) AddStats(x int64, y float64, stats map[string]int64) {
 	sample := CurveSample{Name: c.name, CurvePoint: CurvePoint{X: x, Y: y, Stats: stats}}
 	cs := c.set
 	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	pts := cs.curves[c.name]
 	if n := len(pts); n > 0 && x <= pts[n-1].X {
-		last := pts[n-1].X
-		cs.mu.Unlock()
-		panic(fmt.Sprintf("obs: curve %q x=%d is not after x=%d (points must be strictly increasing in x)", c.name, x, last))
+		panic(fmt.Sprintf("obs: curve %q x=%d is not after x=%d (points must be strictly increasing in x)", c.name, x, pts[n-1].X))
 	}
 	cs.curves[c.name] = append(pts, sample.CurvePoint)
-	cs.recent = append(cs.recent, sample)
-	if len(cs.recent) > curveRing {
-		cs.recent = cs.recent[len(cs.recent)-curveRing:]
+	// Mirror under the lock, so the journal — and the /converge tail that
+	// filters it — carries each curve's points in x order. Neither sink
+	// calls back into the set. A journal write failure must not abort the
+	// attack, so it is dropped.
+	if cs.journal != nil {
+		_ = cs.journal.Emit(Event{Phase: PhaseConverge, ID: c.name, Curve: &sample})
 	}
-	for _, ch := range cs.subs {
-		select {
-		case ch <- sample:
-		default:
-			cs.dropped++
-			mCurveDropped.Add(1)
-		}
+	if cs.tracer != nil {
+		cs.tracer.Counter(c.name, y)
 	}
-	journal, tracer := cs.journal, cs.tracer
-	cs.mu.Unlock()
-
-	// Mirror outside the lock: neither sink calls back into the set. A
-	// journal write failure must not abort the attack, so it is dropped.
-	if journal != nil {
-		_ = journal.Emit(Event{Phase: "attack.converge", ID: c.name, Curve: &sample})
-	}
-	if tracer != nil {
-		tracer.Counter(c.name, y)
-	}
-}
-
-// Len returns the number of points on the curve.
-func (c *Curve) Len() int {
-	c.set.mu.Lock()
-	defer c.set.mu.Unlock()
-	return len(c.set.curves[c.name])
 }
 
 // Points returns a copy of the curve's series.

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestCurveAddAndSnapshot(t *testing.T) {
@@ -15,24 +14,22 @@ func TestCurveAddAndSnapshot(t *testing.T) {
 	c.AddStats(32, 0.80, map[string]int64{"chunk": 16})
 	c.Add(48, 0.97)
 
-	if got := c.Len(); got != 3 {
-		t.Fatalf("Len = %d, want 3", got)
-	}
 	pts := c.Points()
+	if len(pts) != 3 {
+		t.Fatalf("%d points, want 3", len(pts))
+	}
 	if pts[1].X != 32 || pts[1].Y != 0.80 || pts[1].Stats["chunk"] != 16 {
 		t.Errorf("point 1 = %+v", pts[1])
 	}
 	// Curve handles to the same name share the series.
-	if got := cs.Curve("recon.lp.accuracy").Len(); got != 3 {
-		t.Errorf("re-obtained curve Len = %d, want 3", got)
+	if got := len(cs.Curve("recon.lp.accuracy").Points()); got != 3 {
+		t.Errorf("re-obtained curve has %d points, want 3", got)
 	}
 
 	cs.Curve("census.exact_fraction").Add(1, 0.1)
-	if names := cs.Names(); len(names) != 2 || names[0] != "recon.lp.accuracy" || names[1] != "census.exact_fraction" {
-		t.Errorf("Names = %v", names)
-	}
+	cs.Curve("empty.curve")
 	snap := cs.Snapshot()
-	if len(snap["recon.lp.accuracy"]) != 3 || len(snap["census.exact_fraction"]) != 1 {
+	if len(snap) != 3 || len(snap["recon.lp.accuracy"]) != 3 || len(snap["census.exact_fraction"]) != 1 {
 		t.Errorf("Snapshot = %+v", snap)
 	}
 	// Snapshot is a copy: mutating it must not touch the set.
@@ -56,47 +53,9 @@ func TestCurveMonotonePanics(t *testing.T) {
 		}()
 	}
 	// The offending point must not have been recorded.
-	if got := c.Len(); got != 1 {
-		t.Errorf("Len after rejected points = %d, want 1", got)
+	if got := len(c.Points()); got != 1 {
+		t.Errorf("%d points after rejected ones, want 1", got)
 	}
-}
-
-func TestCurveSubscribeReplayLiveAndDrop(t *testing.T) {
-	cs := NewCurveSet()
-	c := cs.Curve("recon.lp.accuracy")
-	c.Add(1, 0.5)
-
-	replay, ch, cancel := cs.Subscribe(8)
-	if len(replay) != 1 || replay[0].Name != "recon.lp.accuracy" || replay[0].X != 1 {
-		t.Fatalf("replay = %+v", replay)
-	}
-	c.Add(2, 0.6)
-	select {
-	case s := <-ch:
-		if s.X != 2 || s.Y != 0.6 {
-			t.Errorf("live sample = %+v", s)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("live sample never arrived")
-	}
-
-	// A full subscriber buffer drops samples rather than blocking Add.
-	_, slow, cancelSlow := cs.Subscribe(1)
-	for i := int64(3); i < 8; i++ {
-		c.Add(i, 0.7)
-	}
-	if got := len(slow); got != 1 {
-		t.Errorf("slow subscriber buffered %d samples, want 1 (rest dropped)", got)
-	}
-	if got := cs.Dropped(); got != 4 {
-		t.Errorf("Dropped = %d, want 4", got)
-	}
-	cancelSlow()
-	cancel()
-	cancel() // idempotent
-	for range ch {
-	}
-	c.Add(100, 0.9) // must not panic with no subscribers
 }
 
 func TestCurveJournalMirror(t *testing.T) {
@@ -164,27 +123,6 @@ func TestCurveTracerCounterLane(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), `"ph":"C"`) {
 		t.Errorf("Chrome trace export carries no counter events: %s", out.String())
-	}
-}
-
-func TestCurveReset(t *testing.T) {
-	cs := NewCurveSet()
-	cs.Curve("recon.lp.accuracy").Add(1, 0.5)
-	_, ch, cancel := cs.Subscribe(1)
-	defer cancel()
-	cs.Reset()
-	if len(cs.Names()) != 0 || cs.Dropped() != 0 {
-		t.Errorf("Reset left names %v dropped %d", cs.Names(), cs.Dropped())
-	}
-	// Subscribers survive a Reset and x restarts from scratch.
-	cs.Curve("recon.lp.accuracy").Add(1, 0.2)
-	select {
-	case s := <-ch:
-		if s.X != 1 || s.Y != 0.2 {
-			t.Errorf("post-Reset sample = %+v", s)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("post-Reset sample never arrived")
 	}
 }
 

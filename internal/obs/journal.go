@@ -37,15 +37,17 @@ type Event struct {
 	Trace string `json:"trace,omitempty"`
 	// Metrics is the snapshot (usually a delta) of work done in the phase.
 	Metrics *Snapshot `json:"metrics,omitempty"`
-	// Curve is the convergence sample for "attack.converge" events — one
+	// Curve is the convergence sample for PhaseConverge events — one
 	// (x, y) point of a streaming attack's accuracy-vs-queries curve (see
 	// CurveSet). Nil on every other phase.
 	Curve *CurveSample `json:"curve,omitempty"`
 }
 
 // journalRing is how many recent events a journal retains for subscriber
-// replay (the SSE /journal tail).
-const journalRing = 256
+// replay: the SSE /journal tail, and the /converge tail that filters it
+// to convergence samples — deep enough to replay a long streamed attack's
+// whole curve to a client that connects late.
+const journalRing = 4096
 
 // mJournalDropped counts events dropped for slow journal subscribers: an
 // SSE consumer comparing its received-event count against this counter
@@ -54,8 +56,9 @@ const journalRing = 256
 var mJournalDropped = Default().Counter("obs.journal_dropped")
 
 // Journal writes Events as JSON lines and fans them out to live
-// subscribers (the serve package's SSE /journal endpoint). Safe for
-// concurrent use.
+// subscribers (the serve package's SSE /journal and /converge
+// endpoints) — the process's one live event stream. Safe for concurrent
+// use.
 type Journal struct {
 	mu      sync.Mutex
 	w       io.Writer

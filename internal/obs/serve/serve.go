@@ -6,8 +6,9 @@
 //	/snapshot      the raw obs.Snapshot as JSON
 //	/healthz       run phase, uptime, journal event count
 //	/journal       Server-Sent Events tail of the live run journal
-//	/converge      attack convergence curves: full series as JSON, or a
-//	               replay + live SSE tail with Accept: text/event-stream
+//	/converge      attack convergence curves: full series as JSON, or,
+//	               with Accept: text/event-stream, the /journal tail
+//	               filtered to its attack.converge samples
 //	/debug/pprof/  the stdlib pprof handlers
 //
 // The cmd tools start it with -serve addr (wired through Tool, the shared
@@ -135,9 +136,9 @@ type Health struct {
 // with Close.
 type Server struct {
 	reg     *obs.Registry
-	journal *obs.Journal  // nil: /journal responds 404
+	journal *obs.Journal  // nil: /journal and SSE /converge respond 404
 	tracer  *obs.Tracer   // never nil; /trace serves its dump
-	curves  *obs.CurveSet // never nil; /converge serves it
+	curves  *obs.CurveSet // never nil; JSON /converge serves its series
 	start   time.Time
 	phase   atomic.Value // string
 	mux     *http.ServeMux
@@ -146,9 +147,10 @@ type Server struct {
 }
 
 // New builds a server over reg (usually obs.Default()) and journal (may be
-// nil when no run journal exists; /journal then responds 404). The /trace
-// endpoint serves the process-wide obs.DefaultTracer dump and /converge
-// the process-wide obs.DefaultCurves set (override with SetCurves).
+// nil when no run journal exists; /journal and SSE /converge then respond
+// 404). The /trace endpoint serves the process-wide obs.DefaultTracer
+// dump and JSON /converge the process-wide obs.DefaultCurves set
+// (override with SetCurves).
 func New(reg *obs.Registry, journal *obs.Journal) *Server {
 	s := &Server{
 		reg:     reg,
@@ -178,8 +180,9 @@ func New(reg *obs.Registry, journal *obs.Journal) *Server {
 // Handler returns the server's mux (for tests via httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// SetCurves points /converge at cs instead of the process-wide default
-// set (tests serve an isolated CurveSet this way). Call before Start.
+// SetCurves points JSON /converge at cs instead of the process-wide
+// default set (tests serve an isolated CurveSet this way). Call before
+// Start.
 func (s *Server) SetCurves(cs *obs.CurveSet) { s.curves = cs }
 
 // SetPhase updates the run phase /healthz reports (e.g. "E02",
@@ -224,7 +227,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, "/snapshot       obs.Snapshot JSON\n")
 	fmt.Fprint(w, "/healthz        phase + uptime\n")
 	fmt.Fprint(w, "/journal        SSE tail of the run journal\n")
-	fmt.Fprint(w, "/converge       attack convergence curves (JSON; SSE with Accept: text/event-stream)\n")
+	fmt.Fprint(w, "/converge       attack convergence curves (JSON; SSE journal tail with Accept: text/event-stream)\n")
 	fmt.Fprint(w, "/trace          collected trace spans as an obs.TraceDump (JSON)\n")
 	fmt.Fprint(w, "/debug/pprof/   stdlib profiling handlers\n")
 }
@@ -266,10 +269,53 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(h) //nolint:errcheck // client gone
 }
 
-// handleJournal streams the run journal as Server-Sent Events: the
-// retained recent events first, then every event as it is emitted, until
-// the client disconnects or the server closes.
+// handleJournal streams the run journal as Server-Sent Events, one
+// `event: journal` frame per obs.Event.
 func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
+	s.tail(w, r, "journal", func(e obs.Event) any { return e })
+}
+
+// convergeSnapshot is the JSON /converge response body.
+type convergeSnapshot struct {
+	// Curves maps curve name to its full (x, y) series so far.
+	Curves map[string][]obs.CurvePoint `json:"curves"`
+	// Dropped counts journal events dropped for slow SSE subscribers (0
+	// without a journal); convergence samples reach /converge tails
+	// through the journal, so this is their gap count too.
+	Dropped int64 `json:"dropped"`
+}
+
+// handleConverge serves the attack convergence curves. The default
+// response is a JSON snapshot of every curve's full series (the batch
+// view: plot it after the run). With Accept: text/event-stream it
+// streams the journal's attack.converge events instead, one `event:
+// converge` frame per obs.CurveSample.
+func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
+	if !strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+		snap := convergeSnapshot{Curves: s.curves.Snapshot()}
+		if s.journal != nil {
+			snap.Dropped = s.journal.Dropped()
+		}
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(snap) //nolint:errcheck // client gone
+		return
+	}
+	s.tail(w, r, "converge", func(e obs.Event) any {
+		if e.Phase != obs.PhaseConverge || e.Curve == nil {
+			return nil
+		}
+		return e.Curve
+	})
+}
+
+// tail streams the run journal as Server-Sent Events named event: the
+// retained recent events first, then every event as it is emitted, until
+// the client disconnects or the server closes. frame maps an event to
+// its JSON data payload, or to nil to skip it. A slow client misses
+// events rather than stalling the run (see obs.Journal.Subscribe).
+func (s *Server) tail(w http.ResponseWriter, r *http.Request, event string, frame func(obs.Event) any) {
 	if s.journal == nil {
 		http.Error(w, "no run journal (start the tool with -metrics)", http.StatusNotFound)
 		return
@@ -283,10 +329,24 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	replay, ch, cancel := s.journal.Subscribe(64)
+	write := func(e obs.Event) error {
+		v := frame(e)
+		if v == nil {
+			return nil
+		}
+		line, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, line)
+		return err
+	}
+	// 256 events of slack absorbs a burst of chunk decodes while this
+	// client's previous frames are still on the wire.
+	replay, ch, cancel := s.journal.Subscribe(256)
 	defer cancel()
 	for _, e := range replay {
-		if writeSSE(w, e) != nil {
+		if write(e) != nil {
 			return
 		}
 	}
@@ -298,82 +358,10 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 		case <-s.done:
 			return
 		case e := <-ch:
-			if writeSSE(w, e) != nil {
+			if write(e) != nil {
 				return
 			}
 			fl.Flush()
 		}
 	}
-}
-
-func writeSSE(w io.Writer, e obs.Event) error {
-	line, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: journal\ndata: %s\n\n", line)
-	return err
-}
-
-// convergeSnapshot is the JSON /converge response body.
-type convergeSnapshot struct {
-	// Curves maps curve name to its full (x, y) series so far.
-	Curves map[string][]obs.CurvePoint `json:"curves"`
-	// Dropped counts samples dropped for slow SSE subscribers.
-	Dropped int64 `json:"dropped"`
-}
-
-// handleConverge serves the attack convergence curves. The default
-// response is a JSON snapshot of every curve's full series (the batch
-// view: plot it after the run). With Accept: text/event-stream it
-// streams instead — the retained recent samples first, then every
-// sample as attacks add points, until the client disconnects or the
-// server closes. Each SSE frame is one obs.CurveSample.
-func (s *Server) handleConverge(w http.ResponseWriter, r *http.Request) {
-	if !strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(convergeSnapshot{Curves: s.curves.Snapshot(), Dropped: s.curves.Dropped()}) //nolint:errcheck // client gone
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	replay, ch, cancel := s.curves.Subscribe(256)
-	defer cancel()
-	for _, sample := range replay {
-		if writeSSECurve(w, sample) != nil {
-			return
-		}
-	}
-	fl.Flush()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.done:
-			return
-		case sample := <-ch:
-			if writeSSECurve(w, sample) != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
-}
-
-func writeSSECurve(w io.Writer, sample obs.CurveSample) error {
-	line, err := json.Marshal(sample)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: converge\ndata: %s\n\n", line)
-	return err
 }

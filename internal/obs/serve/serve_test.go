@@ -255,13 +255,17 @@ func TestJournalSSETail(t *testing.T) {
 }
 
 // readSSECurves reads SSE frames off a /converge stream until n curve
-// samples arrived or the deadline passes.
+// samples arrived or the deadline passes. Every frame must be a converge
+// event.
 func readSSECurves(t *testing.T, body io.Reader, n int) []obs.CurveSample {
 	t.Helper()
 	var out []obs.CurveSample
 	sc := bufio.NewScanner(body)
 	for sc.Scan() {
 		line := sc.Text()
+		if strings.HasPrefix(line, "event: ") && line != "event: converge" {
+			t.Fatalf("unexpected frame %q on the converge stream", line)
+		}
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
@@ -279,28 +283,35 @@ func readSSECurves(t *testing.T, body io.Reader, n int) []obs.CurveSample {
 }
 
 func TestConvergeJSONSnapshot(t *testing.T) {
+	journal := obs.NewJournal(io.Discard)
 	cs := obs.NewCurveSet()
+	cs.SetJournal(journal)
 	cs.Curve("recon.lp.accuracy").Add(32, 0.6)
 	cs.Curve("recon.lp.accuracy").Add(64, 0.9)
 	cs.Curve("census.exact_fraction").Add(26, 0.25)
 
-	s := New(obs.NewRegistry(), nil)
+	s := New(obs.NewRegistry(), journal)
 	s.SetCurves(cs)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/converge")
-	if err != nil {
-		t.Fatal(err)
+	get := func() convergeSnapshot {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/converge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("content type = %q", ct)
+		}
+		var snap convergeSnapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type = %q", ct)
-	}
-	var snap convergeSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
+	snap := get()
 	lp := snap.Curves["recon.lp.accuracy"]
 	if len(lp) != 2 || lp[1].X != 64 || lp[1].Y != 0.9 {
 		t.Errorf("lp curve = %+v", lp)
@@ -311,14 +322,29 @@ func TestConvergeJSONSnapshot(t *testing.T) {
 	if snap.Dropped != 0 {
 		t.Errorf("dropped = %d", snap.Dropped)
 	}
+
+	// Samples reach live tails through the journal, so its drop count is
+	// the curve gap count: a stalled subscriber with a one-event buffer
+	// misses all but the first of three new points.
+	_, _, cancel := journal.Subscribe(1)
+	defer cancel()
+	for x := int64(96); x <= 160; x += 32 {
+		cs.Curve("recon.lp.accuracy").Add(x, 0.95)
+	}
+	if got := get().Dropped; got != 2 || got != journal.Dropped() {
+		t.Errorf("dropped = %d, want 2 (= Journal.Dropped %d)", got, journal.Dropped())
+	}
 }
 
 func TestConvergeSSETail(t *testing.T) {
+	journal := obs.NewJournal(io.Discard)
 	cs := obs.NewCurveSet()
+	cs.SetJournal(journal)
 	curve := cs.Curve("recon.lp.accuracy")
+	journal.Emit(obs.Event{Phase: "run_start", Seed: 4}) //nolint:errcheck
 	curve.Add(16, 0.5)
 
-	s := New(obs.NewRegistry(), nil)
+	s := New(obs.NewRegistry(), journal)
 	s.SetCurves(cs)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -337,9 +363,11 @@ func TestConvergeSSETail(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 
-	// Add live points after the stream is connected.
+	// Add live points after the stream is connected, interleaved with
+	// journal events of other phases, which the tail must filter out.
 	go func() {
 		for i := int64(1); i <= 3; i++ {
+			journal.Emit(obs.Event{Phase: "experiment", ID: "E02"}) //nolint:errcheck
 			curve.AddStats(16+16*i, 0.5+0.1*float64(i), map[string]int64{"chunk": 16})
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -389,16 +417,32 @@ func TestHealthzReportsJournalDropped(t *testing.T) {
 	}
 }
 
+// TestJournalEndpointWithoutJournal: both SSE tails read the journal, so
+// without one they respond 404; the JSON /converge snapshot still works
+// and reports no drops.
 func TestJournalEndpointWithoutJournal(t *testing.T) {
 	srv := httptest.NewServer(New(obs.NewRegistry(), nil).Handler())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/journal")
+	for _, path := range []string{"/journal", "/converge"} {
+		req, _ := http.NewRequest("GET", srv.URL+path, nil)
+		req.Header.Set("Accept", "text/event-stream")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status = %d, want 404", path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/converge")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("status = %d, want 404", resp.StatusCode)
+	defer resp.Body.Close()
+	var snap convergeSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil || resp.StatusCode != http.StatusOK || snap.Dropped != 0 {
+		t.Errorf("JSON /converge without journal: status %d, %+v, err %v", resp.StatusCode, snap, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package remote_test
 
 import (
 	"errors"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -158,9 +159,110 @@ func TestWALTornTailTolerated(t *testing.T) {
 		t.Fatalf("replayed %d entries, want the 1 intact one", len(entries))
 	}
 	srv2, ts2 := newTestServer(t, cfg)
-	_ = ts2
 	if got := srv2.BudgetSpent("carol"); got != 3 {
 		t.Fatalf("restart over torn tail remembers %d, want 3", got)
+	}
+
+	// Spending after the torn tail must not merge the new entry into the
+	// fragment: the next restart replays both spends, 3 + 2.
+	o2 := dialAnalyst(t, ts2.URL, "exact", "carol")
+	if _, err := o2.Answer(ctx, [][]int{{3}, {4}}); err != nil {
+		t.Fatal(err)
+	}
+	ts2.Close()
+	if err := srv2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv3, _ := newTestServer(t, cfg)
+	if got := srv3.BudgetSpent("carol"); got != 5 {
+		t.Fatalf("restart after spending past a torn tail remembers %d, want 5 — spent epsilon was refunded", got)
+	}
+}
+
+// TestWALCrashAtEveryOffset enumerates crash points: a multi-entry WAL
+// is cut at every byte offset, then the server boots, spends and
+// reboots. Boot must never refuse, the first boot must remember exactly
+// the entries whose lines survived whole, and the reboot must remember
+// those plus the new spend — spent budget never decreases.
+func TestWALCrashAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.wal")
+	cfg := remote.ServerConfig{N: 32, P: 0.5, Seed: 9, WALPath: full}
+	srv, ts := newTestServer(t, cfg)
+	for i, analyst := range []string{"dave", "erin", "dave", "erin"} {
+		o := dialAnalyst(t, ts.URL, "exact", analyst)
+		batch := make([][]int, i+1)
+		for j := range batch {
+			batch[j] = []int{8*i + j}
+		}
+		if _, err := o.Answer(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := remote.ReadWAL(full)
+	if err != nil || len(entries) != 4 {
+		t.Fatalf("setup WAL: %d entries, err %v", len(entries), err)
+	}
+
+	// spentAt(k) is dave's spend over the entries whose whole line,
+	// newline included, lies within the first k bytes.
+	var lineEnds []int
+	for i, b := range data {
+		if b == '\n' {
+			lineEnds = append(lineEnds, i+1)
+		}
+	}
+	spentAt := func(k int) int {
+		spent := 0
+		for i, end := range lineEnds {
+			if end <= k && entries[i].Analyst == "dave" {
+				spent = entries[i].Cumulative
+			}
+		}
+		return spent
+	}
+
+	cut := filepath.Join(dir, "cut.wal")
+	cfg.WALPath = cut
+	for k := 0; k <= len(data); k++ {
+		if err := os.WriteFile(cut, data[:k], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		boot, err := remote.NewServer(cfg)
+		if err != nil {
+			t.Fatalf("cut at %d/%d: boot refused: %v", k, len(data), err)
+		}
+		want := spentAt(k)
+		if got := boot.BudgetSpent("dave"); got != want {
+			t.Fatalf("cut at %d: boot remembers %d spent, want %d", k, got, want)
+		}
+		ts := httptest.NewServer(boot.Handler())
+		o := dialAnalyst(t, ts.URL, "exact", "dave")
+		if _, err := o.Answer(ctx, [][]int{{1}, {2}}); err != nil {
+			t.Fatalf("cut at %d: spend: %v", k, err)
+		}
+		ts.Close()
+		if err := boot.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reboot, err := remote.NewServer(cfg)
+		if err != nil {
+			t.Fatalf("cut at %d: reboot refused: %v", k, err)
+		}
+		if got := reboot.BudgetSpent("dave"); got != want+2 {
+			t.Fatalf("cut at %d: reboot remembers %d spent, want %d — spent budget decreased", k, got, want+2)
+		}
+		if err := reboot.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
