@@ -12,6 +12,11 @@
 // appends an obs metrics footer (trials, isolations, count queries, ...)
 // to every table.
 //
+// The suite runs through experiments.RunSuite, the loop repro and
+// reconstruct share: each table is followed by an "[ID completed in …]"
+// wall-time line, a failing experiment does not stop the ones after it,
+// and the exit status is 1 if any failed.
+//
 // -metrics records a JSONL run journal (one event per experiment); -serve
 // exposes the live observability HTTP endpoint (Prometheus /metrics,
 // /snapshot, /healthz, SSE /journal, /debug/pprof/) while the suite runs;
@@ -24,12 +29,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"time"
 
 	"singlingout/internal/experiments"
-	"singlingout/internal/obs"
 	"singlingout/internal/obs/serve"
 )
 
@@ -73,65 +75,16 @@ func main() {
 func run(ctx context.Context, tool *serve.Tool, id string, seed int64, full, stats bool) int {
 	ids := psoIDs
 	if id != "" {
-		ids = []string{strings.ToUpper(id)}
+		ids = []string{id}
 	}
-	tool.Emit(obs.Event{
-		Phase: "run_start",
-		Seed:  seed,
-		Quick: !full,
-		Sizes: map[string]int{"experiments": len(ids)},
-	})
-	runStart := time.Now()
-	for _, eid := range ids {
+	runners := make([]experiments.Runner, len(ids))
+	for i, eid := range ids {
 		r, ok := experiments.ByID(eid)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "psoctl: unknown experiment %q (try -list)\n", eid)
 			return 1
 		}
-		tool.SetPhase(eid)
-		start := time.Now()
-		var tab *experiments.Table
-		var delta obs.Snapshot
-		var err error
-		if stats || tool.Observing() {
-			tab, delta, err = r.RunInstrumented(ctx, seed, !full)
-		} else {
-			tab, err = r.Run(ctx, seed, !full)
-		}
-		ev := obs.Event{
-			Phase:   "experiment",
-			ID:      eid,
-			Seed:    seed,
-			Quick:   !full,
-			Seconds: time.Since(start).Seconds(),
-		}
-		if !delta.Empty() {
-			ev.Metrics = &delta
-		}
-		if err != nil {
-			ev.Error = err.Error()
-			tool.Emit(ev)
-			fmt.Fprintf(os.Stderr, "psoctl: %s: %v\n", eid, err)
-			return 1
-		}
-		tool.Emit(ev)
-		if !stats {
-			// The metrics footer stays opt-in via -stats even when a
-			// journal forced the instrumented path.
-			tab.Metrics = obs.Snapshot{}
-		}
-		if err := tab.Fprint(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "psoctl: %v\n", err)
-			return 1
-		}
+		runners[i] = r
 	}
-	tool.Emit(obs.Event{
-		Phase:   "run_end",
-		Seed:    seed,
-		Quick:   !full,
-		Seconds: time.Since(runStart).Seconds(),
-		Sizes:   map[string]int{"experiments": len(ids)},
-	})
-	tool.SetPhase("done")
-	return 0
+	return experiments.RunSuite(ctx, tool, os.Stdout, runners, seed, !full, stats)
 }

@@ -42,6 +42,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -117,10 +118,17 @@ func run(args []string, ready func(addr string)) int {
 	// One listener: the query API under /v1/ (plus the /ledger alias for
 	// the privacy-loss ledger), the observability surface (Prometheus
 	// /metrics, /snapshot, /healthz, SSE /journal, /trace, pprof) at /.
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", rsrv.Handler())
-	mux.Handle("/ledger", rsrv.Handler())
-	mux.Handle("/", osrv.Handler())
+	// The query API is routed by prefix, not through a ServeMux, whose
+	// path cleaning would answer an unclean backend name with a redirect
+	// instead of the query handler's wire error.
+	api, web := rsrv.Handler(), osrv.Handler()
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/") || r.URL.Path == "/ledger" {
+			api.ServeHTTP(w, r)
+			return
+		}
+		web.ServeHTTP(w, r)
+	})
 
 	// Install the signal handler before the listener exists and before
 	// ready announces it: a SIGTERM that lands right after readiness must
@@ -144,7 +152,7 @@ func run(args []string, ready func(addr string)) int {
 		Sizes: map[string]int{"n": *n, "budget": *budget, "max_batch": *maxBatch, "max_concurrent": *maxConcurrent, "shards": *shards},
 	})
 
-	hs := &http.Server{Handler: mux}
+	hs := &http.Server{Handler: handler}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	if ready != nil {

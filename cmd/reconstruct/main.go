@@ -14,6 +14,11 @@
 // -stats appends an obs metrics footer (oracle queries, simplex pivots,
 // SAT conflicts, ...) to every table.
 //
+// The attacks run through experiments.RunSuite, the loop repro and psoctl
+// share: each table is followed by an "[ID completed in …]" wall-time
+// line, a failing attack does not stop the ones after it, and the exit
+// status is 1 if any failed.
+//
 // -stream runs the attacks anytime: answers are consumed -chunk queries
 // at a time with an incremental re-decode after every chunk (LP warm
 // starts; SAT learned clauses retained), each step appending one point to
@@ -55,7 +60,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"singlingout/internal/experiments"
 	"singlingout/internal/obs"
@@ -88,14 +92,28 @@ func main() {
 	// harnesses (and any in-flight remote batch), so an interrupted run
 	// still flushes its journal and profiles below.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	var status int
+	var o *remote.Oracle
+	var runners []experiments.Runner
+	var err error
 	switch {
 	case *remoteURL != "":
-		status = runRemote(ctx, tool, *remoteURL, *remoteBackend, *analyst, *seed, *full, *stats, *stream, *chunk)
+		o, runners, err = remoteRunners(ctx, *remoteURL, *remoteBackend, *analyst, *stream, *chunk)
 	case *stream:
-		status = runStream(ctx, tool, *attack, *seed, *full, *stats, *chunk)
+		runners, err = streamRunners(*attack, *chunk)
 	default:
-		status = run(ctx, tool, *attack, *seed, *full, *stats)
+		runners, err = attackRunners(*attack)
+	}
+	status := 1
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "reconstruct: %v\n", err)
+	} else {
+		if *stream {
+			announceConverge(tool)
+		}
+		status = experiments.RunSuite(ctx, tool, os.Stdout, runners, *seed, !*full, *stats)
+		if o != nil {
+			mergeServerTrace(ctx, tool, o, *remoteURL)
+		}
 	}
 	stopSignals()
 	if err := tool.Close(); err != nil {
@@ -107,83 +125,36 @@ func main() {
 	os.Exit(status)
 }
 
-// runRemote mounts the LP-decoding sweep against a qserver: ground truth
-// is regenerated locally from the server's advertised metadata, never
-// transmitted. With stream it runs the anytime variant instead — the
-// workload answered chunk queries at a time, the convergence curve
-// streaming over /converge while the attack runs.
-func runRemote(ctx context.Context, tool *serve.Tool, baseURL, backend, analyst string, seed int64, full, stats, stream bool, chunk int) int {
+// remoteRunners dials a qserver and returns the LP-decoding sweep against
+// it: ground truth is regenerated locally from the server's advertised
+// metadata, never transmitted. With stream it is the anytime variant
+// instead — the workload answered chunk queries at a time, the
+// convergence curve streaming over /converge while the attack runs.
+func remoteRunners(ctx context.Context, baseURL, backend, analyst string, stream bool, chunk int) (*remote.Oracle, []experiments.Runner, error) {
 	o, err := remote.Dial(ctx, baseURL, remote.Options{Backend: backend, Analyst: analyst})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "reconstruct: %v\n", err)
-		return 1
+		return nil, nil, err
 	}
 	meta := o.Meta()
 	fmt.Fprintf(os.Stderr, "reconstruct: attacking %s backend %q (n=%d seed=%d budget=%d)\n",
 		baseURL, backend, meta.N, meta.Seed, meta.Budget)
+	truth := remote.Dataset(meta.Seed, meta.N, meta.P)
 	id := "E02.remote"
 	if stream {
 		id = "E02.stream"
-		announceConverge(tool)
 	}
-	tool.SetPhase(id)
-	tool.Emit(obs.Event{
-		Phase: "run_start",
-		Seed:  seed,
-		Quick: !full,
-		Sizes: map[string]int{"experiments": 1, "n": meta.N},
-	})
-	truth := remote.Dataset(meta.Seed, meta.N, meta.P)
-	reg := obs.Default()
-	instrumented := stats || tool.Observing()
-	if instrumented {
-		wasEnabled := reg.Enabled()
-		reg.SetEnabled(true)
-		defer reg.SetEnabled(wasEnabled)
-	}
-	start := time.Now()
-	before := reg.Snapshot()
-	var tab *experiments.Table
-	if stream {
-		tab, _, err = experiments.E02StreamOverOracle(ctx, o, truth, seed, chunk, obs.DefaultCurves())
-	} else {
-		tab, err = experiments.E02OverOracle(ctx, o, truth, seed, !full)
-	}
-	ev := obs.Event{
-		Phase:   "experiment",
-		ID:      id,
-		Seed:    seed,
-		Quick:   !full,
-		Seconds: time.Since(start).Seconds(),
-	}
-	if instrumented {
-		delta := reg.Snapshot().Delta(before)
-		if !delta.Empty() {
-			ev.Metrics = &delta
-		}
-		if tab != nil && stats {
-			tab.Metrics = delta
-		}
-	}
-	if err != nil {
-		ev.Error = err.Error()
-		tool.Emit(ev)
-		if errors.Is(err, query.ErrBudgetExhausted) {
-			fmt.Fprintf(os.Stderr, "reconstruct: the server's query budget ran out mid-attack — the defense held: %v\n", err)
+	r := experiments.Runner{ID: id, Run: func(ctx context.Context, seed int64, quick bool) (tab *experiments.Table, err error) {
+		if stream {
+			tab, _, err = experiments.E02StreamOverOracle(ctx, o, truth, seed, chunk, obs.DefaultCurves())
 		} else {
-			fmt.Fprintf(os.Stderr, "reconstruct: %v\n", err)
+			tab, err = experiments.E02OverOracle(ctx, o, truth, seed, quick)
 		}
-		return 1
-	}
-	tool.Emit(ev)
-	if err := tab.Fprint(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "reconstruct: %v\n", err)
-		return 1
-	}
-	mergeServerTrace(ctx, tool, o, baseURL)
-	tool.Emit(obs.Event{Phase: "run_end", Seed: seed, Quick: !full, Sizes: map[string]int{"experiments": 1}})
-	tool.SetPhase("done")
-	return 0
+		if errors.Is(err, query.ErrBudgetExhausted) {
+			err = fmt.Errorf("the server's query budget ran out mid-attack — the defense held: %w", err)
+		}
+		return tab, err
+	}}
+	return o, []experiments.Runner{r}, nil
 }
 
 // mergeServerTrace folds the qserver's server-side spans into the local
@@ -214,7 +185,8 @@ func mergeServerTrace(ctx context.Context, tool *serve.Tool, o *remote.Oracle, b
 		len(kept), o.TraceID())
 }
 
-func run(ctx context.Context, tool *serve.Tool, attack string, seed int64, full, stats bool) int {
+// attackRunners returns the batch experiments behind an -attack name.
+func attackRunners(attack string) ([]experiments.Runner, error) {
 	byName := map[string][]string{
 		"exhaustive": {"E01"},
 		"lp":         {"E02", "A01"},
@@ -224,64 +196,13 @@ func run(ctx context.Context, tool *serve.Tool, attack string, seed int64, full,
 	}
 	ids, ok := byName[attack]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "reconstruct: unknown attack %q\n", attack)
-		return 1
+		return nil, fmt.Errorf("unknown attack %q", attack)
 	}
-	tool.Emit(obs.Event{
-		Phase: "run_start",
-		Seed:  seed,
-		Quick: !full,
-		Sizes: map[string]int{"experiments": len(ids)},
-	})
-	runStart := time.Now()
-	for _, id := range ids {
-		tool.SetPhase(id)
-		r, _ := experiments.ByID(id)
-		start := time.Now()
-		var tab *experiments.Table
-		var delta obs.Snapshot
-		var err error
-		if stats || tool.Observing() {
-			tab, delta, err = r.RunInstrumented(ctx, seed, !full)
-		} else {
-			tab, err = r.Run(ctx, seed, !full)
-		}
-		ev := obs.Event{
-			Phase:   "experiment",
-			ID:      id,
-			Seed:    seed,
-			Quick:   !full,
-			Seconds: time.Since(start).Seconds(),
-		}
-		if !delta.Empty() {
-			ev.Metrics = &delta
-		}
-		if err != nil {
-			ev.Error = err.Error()
-			tool.Emit(ev)
-			fmt.Fprintf(os.Stderr, "reconstruct: %s: %v\n", id, err)
-			return 1
-		}
-		tool.Emit(ev)
-		if !stats {
-			// The metrics footer stays opt-in via -stats even when a
-			// journal forced the instrumented path.
-			tab.Metrics = obs.Snapshot{}
-		}
-		if err := tab.Fprint(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "reconstruct: %v\n", err)
-			return 1
-		}
+	runners := make([]experiments.Runner, len(ids))
+	for i, id := range ids {
+		runners[i], _ = experiments.ByID(id)
 	}
-	tool.Emit(obs.Event{
-		Phase:   "run_end",
-		Seed:    seed,
-		Quick:   !full,
-		Seconds: time.Since(runStart).Seconds(),
-		Sizes:   map[string]int{"experiments": len(ids)},
-	})
-	tool.SetPhase("done")
-	return 0
+	return runners, nil
 }
 
 // announceConverge points the operator at the live curve endpoints when
@@ -292,95 +213,33 @@ func announceConverge(tool *serve.Tool) {
 	}
 }
 
-// runStream runs the in-process attacks anytime: the LP decoder over an
-// exact oracle and/or the census SAT pipeline, each re-solving
-// incrementally and appending points to the default convergence curves
-// (journal attack.converge events; /converge when serving). The final
-// tables report queries-to-accuracy milestones; the reconstructions
-// match the batch path bit for bit.
-func runStream(ctx context.Context, tool *serve.Tool, attack string, seed int64, full, stats bool, chunk int) int {
-	type step struct {
-		id  string
-		run func(context.Context) (*experiments.Table, error)
-	}
-	var steps []step
+// streamRunners returns the in-process attacks run anytime: the LP
+// decoder over an exact oracle and/or the census SAT pipeline, each
+// re-solving incrementally and appending points to the default
+// convergence curves (journal attack.converge events; /converge when
+// serving). The final tables report queries-to-accuracy milestones; the
+// reconstructions match the batch path bit for bit.
+func streamRunners(attack string, chunk int) ([]experiments.Runner, error) {
+	var runners []experiments.Runner
 	if attack == "lp" || attack == "all" {
-		steps = append(steps, step{"E02.stream", func(ctx context.Context) (*experiments.Table, error) {
-			n := 48
-			if full {
-				n = 128
+		runners = append(runners, experiments.Runner{ID: "E02.stream", Run: func(ctx context.Context, seed int64, quick bool) (*experiments.Table, error) {
+			n := 128
+			if quick {
+				n = 48
 			}
-			rng := rand.New(rand.NewSource(seed))
-			x := synth.BinaryDataset(rng, n, 0.5)
+			x := synth.BinaryDataset(rand.New(rand.NewSource(seed)), n, 0.5)
 			tab, _, err := experiments.E02StreamOverOracle(ctx, &query.Exact{X: x}, x, seed, chunk, obs.DefaultCurves())
 			return tab, err
 		}})
 	}
 	if attack == "census" || attack == "all" {
-		steps = append(steps, step{"E11.stream", func(ctx context.Context) (*experiments.Table, error) {
-			tab, _, err := experiments.E11StreamConverge(ctx, seed, !full, obs.DefaultCurves())
+		runners = append(runners, experiments.Runner{ID: "E11.stream", Run: func(ctx context.Context, seed int64, quick bool) (*experiments.Table, error) {
+			tab, _, err := experiments.E11StreamConverge(ctx, seed, quick, obs.DefaultCurves())
 			return tab, err
 		}})
 	}
-	if len(steps) == 0 {
-		fmt.Fprintf(os.Stderr, "reconstruct: -stream supports the lp and census attacks (got -attack %q)\n", attack)
-		return 1
+	if len(runners) == 0 {
+		return nil, fmt.Errorf("-stream supports the lp and census attacks (got -attack %q)", attack)
 	}
-	announceConverge(tool)
-	tool.Emit(obs.Event{
-		Phase: "run_start",
-		Seed:  seed,
-		Quick: !full,
-		Sizes: map[string]int{"experiments": len(steps)},
-	})
-	runStart := time.Now()
-	reg := obs.Default()
-	instrumented := stats || tool.Observing()
-	if instrumented {
-		wasEnabled := reg.Enabled()
-		reg.SetEnabled(true)
-		defer reg.SetEnabled(wasEnabled)
-	}
-	for _, st := range steps {
-		tool.SetPhase(st.id)
-		start := time.Now()
-		before := reg.Snapshot()
-		tab, err := st.run(ctx)
-		ev := obs.Event{
-			Phase:   "experiment",
-			ID:      st.id,
-			Seed:    seed,
-			Quick:   !full,
-			Seconds: time.Since(start).Seconds(),
-		}
-		if instrumented {
-			delta := reg.Snapshot().Delta(before)
-			if !delta.Empty() {
-				ev.Metrics = &delta
-			}
-			if tab != nil && stats {
-				tab.Metrics = delta
-			}
-		}
-		if err != nil {
-			ev.Error = err.Error()
-			tool.Emit(ev)
-			fmt.Fprintf(os.Stderr, "reconstruct: %s: %v\n", st.id, err)
-			return 1
-		}
-		tool.Emit(ev)
-		if err := tab.Fprint(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "reconstruct: %v\n", err)
-			return 1
-		}
-	}
-	tool.Emit(obs.Event{
-		Phase:   "run_end",
-		Seed:    seed,
-		Quick:   !full,
-		Seconds: time.Since(runStart).Seconds(),
-		Sizes:   map[string]int{"experiments": len(steps)},
-	})
-	tool.SetPhase("done")
-	return 0
+	return runners, nil
 }

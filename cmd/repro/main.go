@@ -29,9 +29,11 @@
 // and land as BENCH.census / BENCH.remote / BENCH.lp rows in the
 // BENCH_<rev>.json summary.
 //
-// Failing experiments no longer abort the run: every experiment is
-// attempted, failures are reported together at the end, and the exit
-// status is nonzero if any failed.
+// The experiments run through experiments.RunSuite, the loop psoctl and
+// reconstruct share: a failing experiment does not abort the run, every
+// experiment is attempted, failures are reported together at the end, and
+// the exit status is nonzero if any failed. The probes run after the
+// suite has closed its journal bracket.
 package main
 
 import (
@@ -289,55 +291,9 @@ func run(ctx context.Context, tool *serve.Tool, seed int64, quick bool, id strin
 		}
 		runners = []experiments.Runner{r}
 	}
-
-	tool.Emit(obs.Event{
-		Phase: "run_start",
-		Seed:  seed,
-		Quick: quick,
-		Sizes: map[string]int{"experiments": len(runners)},
-	})
-
-	// Attempt every experiment, collecting failures instead of aborting on
-	// the first: a broken harness must not mask results from the others.
-	var failures []string
-	runStart := time.Now()
-	for _, r := range runners {
-		tool.SetPhase(r.ID)
-		start := time.Now()
-		var tab *experiments.Table
-		var delta obs.Snapshot
-		var err error
-		if tool.Observing() {
-			tab, delta, err = r.RunInstrumented(ctx, seed, quick)
-		} else {
-			tab, err = r.Run(ctx, seed, quick)
-		}
-		elapsed := time.Since(start)
-		ev := obs.Event{
-			Phase:   "experiment",
-			ID:      r.ID,
-			Seed:    seed,
-			Quick:   quick,
-			Seconds: elapsed.Seconds(),
-		}
-		if !delta.Empty() {
-			ev.Metrics = &delta
-		}
-		if err != nil {
-			failures = append(failures, fmt.Sprintf("%s: %v", r.ID, err))
-			fmt.Fprintf(os.Stderr, "repro: %s: %v\n", r.ID, err)
-			ev.Error = err.Error()
-			tool.Emit(ev)
-			continue
-		}
-		ev.Sizes = map[string]int{"rows": len(tab.Rows)}
-		tool.Emit(ev)
-		if err := tab.Fprint(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-			return 1
-		}
-		fmt.Printf("  [%s completed in %s]\n\n", r.ID, elapsed.Round(time.Millisecond))
-	}
+	// The metrics footer follows the journal, so plain stdout stays the
+	// archived tables (and the golden file) byte for byte.
+	status := experiments.RunSuite(ctx, tool, os.Stdout, runners, seed, quick, tool.Observing())
 	if tool.Observing() {
 		tool.SetPhase("bench_probe")
 		if err := benchCensusProbe(tool.Emit, seed); err != nil {
@@ -352,16 +308,8 @@ func run(ctx context.Context, tool *serve.Tool, seed int64, quick bool, id strin
 		if err := benchConvergeProbe(tool.Emit, seed); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: converge bench probe: %v\n", err)
 		}
+		tool.SetPhase("done")
 	}
-	tool.Emit(obs.Event{
-		Phase:   "run_end",
-		Seed:    seed,
-		Quick:   quick,
-		Seconds: time.Since(runStart).Seconds(),
-		Sizes:   map[string]int{"experiments": len(runners), "failures": len(failures)},
-	})
-	tool.SetPhase("done")
-
 	if path := tool.MetricsPath(); path != "" {
 		if benchPath, err := writeBench(path); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
@@ -369,13 +317,5 @@ func run(ctx context.Context, tool *serve.Tool, seed int64, quick bool, id strin
 			fmt.Printf("  [journal %s, summary %s]\n", path, benchPath)
 		}
 	}
-
-	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "repro: %d of %d experiments failed:\n", len(failures), len(runners))
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "  %s\n", f)
-		}
-		return 1
-	}
-	return 0
+	return status
 }

@@ -133,7 +133,16 @@ func Attack(ctx context.Context, rng *rand.Rand, c *Cloak, m int) (AttackResult,
 		}
 		queries = append(queries, q)
 	}
-	guess, frac, err := recon.LPDecode(ctx, query.Instrument(c, nil), queries, recon.L1Slack)
+	o := query.Instrument(c, nil)
+	dec, err := recon.NewDecoder(o.N(), queries, recon.L1Slack)
+	if err != nil {
+		return AttackResult{}, nil, fmt.Errorf("diffix: %w", err)
+	}
+	answers, err := o.Answer(ctx, queries)
+	if err != nil {
+		return AttackResult{}, nil, fmt.Errorf("diffix: oracle failed: %w", err)
+	}
+	guess, frac, err := dec.Decode(ctx, answers)
 	if err != nil {
 		return AttackResult{}, nil, fmt.Errorf("diffix: %w", err)
 	}

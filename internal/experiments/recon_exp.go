@@ -110,7 +110,11 @@ func E02LPReconstruction(ctx context.Context, seed int64, quick bool) (*Table, e
 			for ci, c := range cvals {
 				alpha := c * math.Sqrt(float64(n))
 				o := query.Instrument(&query.BoundedNoise{X: x, Alpha: alpha, Rng: rng}, nil)
-				got, _, err := dec.DecodeOracle(ctx, o)
+				answers, err := o.Answer(ctx, qs)
+				if err != nil {
+					return err
+				}
+				got, _, err := dec.Decode(ctx, answers)
 				if err != nil {
 					return err
 				}
@@ -236,7 +240,15 @@ func A01LPObjective(ctx context.Context, seed int64, quick bool) (*Table, error)
 			x := synth.BinaryDataset(rng, n, 0.5)
 			qs := query.RandomSubsets(rng, n, 4*n)
 			oracle := query.Instrument(&query.BoundedNoise{X: x, Alpha: alpha, Rng: rng}, nil)
-			got, _, err := recon.LPDecode(ctx, oracle, qs, obj.o)
+			dec, err := recon.NewDecoder(oracle.N(), qs, obj.o)
+			if err != nil {
+				return nil, err
+			}
+			answers, err := oracle.Answer(ctx, qs)
+			if err != nil {
+				return nil, err
+			}
+			got, _, err := dec.Decode(ctx, answers)
 			if err != nil {
 				return nil, err
 			}

@@ -35,45 +35,47 @@ func E02OverOracle(ctx context.Context, o query.Oracle, truth []int64, seed int6
 		Header: []string{"m/n", "queries", "Hamming error", "blatantly non-private (err<5%)?"},
 		Notes:  []string{"same decoder as E02; the oracle may be remote (qserver) — truth regenerated from the advertised seed"},
 	}
-	// Each budget has its own constraint matrix (m differs), so each row
-	// decodes cold through its own Decoder; the last row's decoder is kept
-	// and replayed below.
-	var lastDec *recon.Decoder
-	var lastM int
-	for i, c := range multipliers {
-		rng := par.RNG(seed, i)
-		m := c * n
-		qs := query.RandomSubsets(rng, n, m)
-		dec, err := recon.NewDecoder(n, qs, recon.L1Slack)
+	// addRow asks the oracle qs and decodes the answers with dec.
+	addRow := func(label string, dec *recon.Decoder, qs [][]int) error {
+		answers, err := query.Instrument(o, nil).Answer(ctx, qs)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: E02.remote at m=%d: %w", m, err)
+			return err
 		}
-		got, _, err := dec.DecodeOracle(ctx, query.Instrument(o, nil))
+		got, _, err := dec.Decode(ctx, answers)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: E02.remote at m=%d: %w", m, err)
+			return err
 		}
 		e := recon.HammingError(truth, got)
 		ok := "yes"
 		if e > 0.05 {
 			ok = "no"
 		}
-		t.AddRow(fmt.Sprintf("%d", c), fmt.Sprintf("%d", m), f3(e), ok)
-		lastDec, lastM = dec, m
+		t.AddRow(label, fmt.Sprintf("%d", len(qs)), f3(e), ok)
+		return nil
+	}
+	// Each budget has its own constraint matrix (m differs), so each row
+	// decodes cold through its own Decoder; the last row's decoder is kept
+	// and replayed below.
+	var dec *recon.Decoder
+	var qs [][]int
+	for i, c := range multipliers {
+		m := c * n
+		qs = query.RandomSubsets(par.RNG(seed, i), n, m)
+		var err error
+		if dec, err = recon.NewDecoder(n, qs, recon.L1Slack); err != nil {
+			return nil, fmt.Errorf("experiments: E02.remote at m=%d: %w", m, err)
+		}
+		if err := addRow(fmt.Sprintf("%d", c), dec, qs); err != nil {
+			return nil, fmt.Errorf("experiments: E02.remote at m=%d: %w", m, err)
+		}
 	}
 	// Warm replay of the largest budget: the analyst re-decodes the same
 	// workload from the previous optimal basis — the steady-state cost of
 	// a repeated attack. For a deterministic oracle the answers (and so
 	// the row) are identical to the cold decode; only the solver work
 	// shrinks (lp.warm_starts / lp.pivots in the metrics).
-	got, _, err := lastDec.DecodeOracle(ctx, query.Instrument(o, nil))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: E02.remote warm replay at m=%d: %w", lastM, err)
+	if err := addRow(fmt.Sprintf("%d (warm replay)", multipliers[len(multipliers)-1]), dec, qs); err != nil {
+		return nil, fmt.Errorf("experiments: E02.remote warm replay at m=%d: %w", len(qs), err)
 	}
-	e := recon.HammingError(truth, got)
-	ok := "yes"
-	if e > 0.05 {
-		ok = "no"
-	}
-	t.AddRow(fmt.Sprintf("%d (warm replay)", multipliers[len(multipliers)-1]), fmt.Sprintf("%d", lastM), f3(e), ok)
 	return t, nil
 }

@@ -178,6 +178,17 @@ func (s Span) End() int64 {
 	return d
 }
 
+// Stopwatch reads the wall clock for run reports (journal seconds,
+// completion lines) on behalf of the deterministic packages, which may
+// not read it themselves. What it measures must never reach a table.
+type Stopwatch struct{ start time.Time }
+
+// StartStopwatch starts a Stopwatch.
+func StartStopwatch() Stopwatch { return Stopwatch{start: time.Now()} }
+
+// Elapsed returns the wall time since the Stopwatch started.
+func (s Stopwatch) Elapsed() time.Duration { return time.Since(s.start) }
+
 // Registry holds named metrics. Metric accessors are get-or-create and
 // safe for concurrent use; the returned pointers may be cached and used
 // from any goroutine. A registry starts disabled.

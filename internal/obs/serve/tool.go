@@ -100,6 +100,9 @@ func (t *Tool) Observing() bool { return t.journal != nil }
 // server's /trace dump is worth a round trip.
 func (t *Tool) SpanExport() bool { return *t.spansPath != "" }
 
+// Name returns the tool name that prefixes its diagnostics.
+func (t *Tool) Name() string { return t.name }
+
 // Journal returns the run journal (nil when not observing).
 func (t *Tool) Journal() *obs.Journal { return t.journal }
 

@@ -2,6 +2,7 @@ package pso
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"singlingout/internal/dataset"
@@ -33,10 +34,6 @@ type Config struct {
 	Tau float64
 	// Trials is the number of independent repetitions.
 	Trials int
-	// WeightCheckSamples, when positive, additionally Monte-Carlo
-	// estimates each output predicate's weight with this many samples so
-	// the nominal weights can be audited.
-	WeightCheckSamples int
 }
 
 // Validate reports configuration errors.
@@ -73,9 +70,6 @@ type Result struct {
 	AttackErrors int
 	// MeanNominalWeight averages the nominal weights of output predicates.
 	MeanNominalWeight float64
-	// MeanMeasuredWeight averages Monte Carlo weight estimates (present
-	// only when WeightCheckSamples > 0).
-	MeanMeasuredWeight float64
 	// BaselineRate is the apples-to-apples trivial success rate: the
 	// probability n·w̄·(1-w̄)^(n-1) that a release-independent predicate of
 	// the attacker's own mean nominal weight w̄ isolates. An attack only
@@ -105,27 +99,8 @@ func (r Result) IsolationRate() float64 {
 // predicate weight (factor-5 margin plus a three-sigma sampling band plus
 // an absolute 1% floor).
 func (r Result) PreventsPSO() bool {
-	sigma := 3 * sqrtf(r.BaselineRate*(1-r.BaselineRate)/float64(max(1, r.Trials)))
+	sigma := 3 * math.Sqrt(r.BaselineRate*(1-r.BaselineRate)/float64(max(1, r.Trials)))
 	return r.SuccessRate() <= 5*r.BaselineRate+sigma+0.01
-}
-
-func sqrtf(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	// Newton iterations suffice for a tolerance diagnostic.
-	x := v
-	for i := 0; i < 40; i++ {
-		x = 0.5 * (x + v/x)
-	}
-	return x
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // String renders the result as a one-line report row.
@@ -145,8 +120,7 @@ func Run(rng *rand.Rand, cfg Config, m Mechanism, a Attacker) (Result, error) {
 		Attacker:  a.Describe(),
 		Trials:    cfg.Trials,
 	}
-	var sumNominal, sumMeasured float64
-	measured := 0
+	var sumNominal float64
 	for trial := 0; trial < cfg.Trials; trial++ {
 		mTrials.Add(1)
 		sp := mTrialNS.Span()
@@ -168,10 +142,6 @@ func Run(rng *rand.Rand, cfg Config, m Mechanism, a Attacker) (Result, error) {
 		}
 		w := p.NominalWeight()
 		sumNominal += w
-		if cfg.WeightCheckSamples > 0 {
-			sumMeasured += EstimateWeight(rng, p, cfg.Sample, cfg.WeightCheckSamples)
-			measured++
-		}
 		if Isolates(p, d) {
 			res.Isolations++
 			mIsolations.Add(1)
@@ -186,9 +156,6 @@ func Run(rng *rand.Rand, cfg Config, m Mechanism, a Attacker) (Result, error) {
 	}
 	if n := cfg.Trials - res.AttackErrors; n > 0 {
 		res.MeanNominalWeight = sumNominal / float64(n)
-	}
-	if measured > 0 {
-		res.MeanMeasuredWeight = sumMeasured / float64(measured)
 	}
 	res.BaselineRate = dist.IsolationProb(cfg.N, res.MeanNominalWeight)
 	return res, nil

@@ -1,6 +1,7 @@
 package pso
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -306,6 +307,48 @@ func TestAttackerErrorsAreCounted(t *testing.T) {
 	}
 	if res.AttackErrors != 5 {
 		t.Errorf("AttackErrors = %d, want 5", res.AttackErrors)
+	}
+}
+
+// TestRunValidatesAndPropagates: an invalid config and a mechanism
+// failure are run errors, the latter wrapping the mechanism's own error.
+func TestRunValidatesAndPropagates(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	if _, err := Run(rng, Config{}, Count{}, Baseline{Depth: 5}); err == nil {
+		t.Error("invalid config should fail")
+	}
+	down := errors.New("mechanism backend unavailable")
+	_, err := Run(rng, BirthdayConfig(1e-6, 4), failingMechanism{err: down}, Baseline{Depth: 5})
+	if !errors.Is(err, down) {
+		t.Errorf("mechanism error should propagate, got %v", err)
+	}
+}
+
+// failingMechanism fails every Release, counting the calls.
+type failingMechanism struct {
+	calls *int
+	err   error
+}
+
+func (f failingMechanism) Release(*rand.Rand, *dataset.Dataset) (any, error) {
+	if f.calls != nil {
+		*f.calls++
+	}
+	return nil, f.err
+}
+
+func (f failingMechanism) Describe() string { return "failing mechanism" }
+
+// TestRunMechanismFailureStopsRun: the first mechanism failure ends the
+// run; no later trial is released.
+func TestRunMechanismFailureStopsRun(t *testing.T) {
+	calls := 0
+	mech := failingMechanism{calls: &calls, err: errors.New("down")}
+	if _, err := Run(rand.New(rand.NewSource(11)), BirthdayConfig(1e-6, 2000), mech, Birthday{Attr: 0, Min: 0, Domain: BirthdayDomain}); err == nil {
+		t.Fatal("mechanism failure must fail the run")
+	}
+	if calls != 1 {
+		t.Errorf("%d trials released after a first-trial mechanism failure, want 1", calls)
 	}
 }
 

@@ -107,7 +107,7 @@ type Server struct {
 	x        []int64
 	backends map[string]query.Oracle
 	names    []string
-	mux      *http.ServeMux
+	handler  http.Handler
 	tracer   *obs.Tracer
 	lane     int // trace lane of the query handler
 
@@ -272,11 +272,20 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 	}
 
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/meta", s.handleMeta)
-	s.mux.HandleFunc("/v1/query/", s.handleQuery)
-	s.mux.HandleFunc("/v1/ledger", s.handleLedger)
-	s.mux.HandleFunc("/ledger", s.handleLedger)
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/meta", s.handleMeta)
+	mux.HandleFunc("/v1/ledger", s.handleLedger)
+	mux.HandleFunc("/ledger", s.handleLedger)
+	s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// The backend name is the rest of the path, taken verbatim:
+		// ServeMux would answer an unclean one ("../meta", "a//b") with a
+		// 301 redirect instead of a wire ErrorResponse.
+		if strings.HasPrefix(r.URL.Path, "/v1/query/") {
+			s.handleQuery(w, r)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
 	return s, nil
 }
 
@@ -294,7 +303,7 @@ func (s *Server) Close() error {
 // Handler returns the /v1/* HTTP handler. Mount it alongside the obs
 // serve.Server handler to get /metrics, /snapshot, /healthz and /journal
 // on the same listener (see cmd/qserver).
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // Meta returns the full (v2) metadata; GET /v1/meta shapes it to the
 // negotiated version.

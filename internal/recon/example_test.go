@@ -10,9 +10,9 @@ import (
 	"singlingout/internal/synth"
 )
 
-// ExampleLPDecode mounts the polynomial-time Dinur–Nissim attack against
+// ExampleDecoder mounts the polynomial-time Dinur–Nissim attack against
 // a mechanism answering subset-sum queries with bounded noise.
-func ExampleLPDecode() {
+func ExampleDecoder() {
 	rng := rand.New(rand.NewSource(1))
 	n := 48
 	secret := synth.BinaryDataset(rng, n, 0.5)
@@ -21,7 +21,15 @@ func ExampleLPDecode() {
 	oracle := &query.BoundedNoise{X: secret, Alpha: 2, Rng: rng}
 
 	queries := query.RandomSubsets(rng, n, 4*n)
-	reconstructed, _, err := recon.LPDecode(context.Background(), oracle, queries, recon.L1Slack)
+	dec, err := recon.NewDecoder(n, queries, recon.L1Slack)
+	if err != nil {
+		panic(err)
+	}
+	answers, err := oracle.Answer(context.Background(), queries)
+	if err != nil {
+		panic(err)
+	}
+	reconstructed, _, err := dec.Decode(context.Background(), answers)
 	if err != nil {
 		panic(err)
 	}

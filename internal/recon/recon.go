@@ -2,15 +2,17 @@
 // attacks of Theorem 1.1: the exhaustive-search attack that works against
 // any mechanism with o(n) error given enough subset queries, and the
 // polynomial-time linear-programming decoding attack that defeats error up
-// to o(√n). Both are written against the query.Oracle interface, so the
-// same attack code runs against exact, bounded-error, Laplace-noised and
-// budgeted mechanisms.
+// to o(√n). Exhaustive asks a query.Oracle directly; the LP Decoder takes
+// the answers an oracle gave to its query set. Either way the same attack
+// code runs against exact, bounded-error, Laplace-noised and budgeted
+// mechanisms.
 package recon
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"singlingout/internal/lp"
 	"singlingout/internal/obs"
@@ -88,7 +90,7 @@ func Exhaustive(ctx context.Context, o query.Oracle, queries [][]int, alpha floa
 		tested++
 		ok := true
 		for qi := range masks {
-			s := float64(popcount32(cand & masks[qi]))
+			s := float64(bits.OnesCount32(cand & masks[qi]))
 			if math.Abs(s-answers[qi]) > alpha+1e-9 {
 				ok = false
 				break
@@ -105,15 +107,6 @@ func Exhaustive(ctx context.Context, o query.Oracle, queries [][]int, alpha floa
 		}
 	}
 	return nil, fmt.Errorf("recon: no candidate consistent within alpha = %v", alpha)
-}
-
-func popcount32(x uint32) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // LPObjective selects the LP-decoding objective (an ablation axis).
@@ -215,33 +208,6 @@ func (d *Decoder) Decode(ctx context.Context, answers []float64) ([]int64, []flo
 	}
 	mLPDecodes.Add(1)
 	return d.Stream().Push(ctx, answers)
-}
-
-// DecodeOracle asks the oracle the Decoder's query set as one batch and
-// decodes the answers.
-func (d *Decoder) DecodeOracle(ctx context.Context, o query.Oracle) ([]int64, []float64, error) {
-	if o.N() != d.n {
-		return nil, nil, fmt.Errorf("recon: oracle has n = %d, decoder built for %d", o.N(), d.n)
-	}
-	answers, err := o.Answer(ctx, d.queries)
-	if err != nil {
-		return nil, nil, fmt.Errorf("recon: oracle failed: %w", err)
-	}
-	return d.Decode(ctx, answers)
-}
-
-// LPDecode mounts the polynomial-time attack of Theorem 1.1(ii): it asks
-// the oracle the given queries as one batch and solves a linear program
-// fitting a fractional database x ∈ [0,1]^n to the answers, then rounds.
-// It returns the rounded reconstruction and the fractional LP solution.
-// For repeated decodes over one query set, use a Decoder — it reuses the
-// simplex basis across solves.
-func LPDecode(ctx context.Context, o query.Oracle, queries [][]int, objective LPObjective) ([]int64, []float64, error) {
-	d, err := NewDecoder(o.N(), queries, objective)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d.DecodeOracle(ctx, o)
 }
 
 // Round converts a fractional database to binary by thresholding at 1/2.

@@ -13,6 +13,20 @@ import (
 
 var ctx = context.Background()
 
+// lpDecode mounts the Theorem 1.1(ii) attack the way every caller does:
+// build the decoder, ask the oracle the queries as one batch, decode.
+func lpDecode(o query.Oracle, queries [][]int, objective LPObjective) ([]int64, []float64, error) {
+	dec, err := NewDecoder(o.N(), queries, objective)
+	if err != nil {
+		return nil, nil, err
+	}
+	answers, err := o.Answer(ctx, queries)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dec.Decode(ctx, answers)
+}
+
 func TestHammingError(t *testing.T) {
 	if got := HammingError([]int64{1, 0, 1, 0}, []int64{1, 1, 1, 1}); got != 0.5 {
 		t.Errorf("HammingError = %v, want 0.5", got)
@@ -108,7 +122,7 @@ func TestLPDecodeExact(t *testing.T) {
 	n := 32
 	x := synth.BinaryDataset(rng, n, 0.5)
 	queries := query.RandomSubsets(rng, n, 4*n)
-	got, frac, err := LPDecode(ctx, &query.Exact{X: x}, queries, L1Slack)
+	got, frac, err := lpDecode(&query.Exact{X: x}, queries, L1Slack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +148,7 @@ func TestLPDecodeSmallNoiseReconstructs(t *testing.T) {
 	alpha := 0.25 * math.Sqrt(float64(n)) // = 2
 	queries := query.RandomSubsets(rng, n, 4*n)
 	o := &query.BoundedNoise{X: x, Alpha: alpha, Rng: rng}
-	got, _, err := LPDecode(ctx, o, queries, L1Slack)
+	got, _, err := lpDecode(o, queries, L1Slack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +165,7 @@ func TestLPDecodeLargeNoiseFails(t *testing.T) {
 	x := synth.BinaryDataset(rng, n, 0.5)
 	queries := query.RandomSubsets(rng, n, 4*n)
 	o := &query.BoundedNoise{X: x, Alpha: float64(n) / 3, Rng: rng}
-	got, _, err := LPDecode(ctx, o, queries, L1Slack)
+	got, _, err := lpDecode(o, queries, L1Slack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +180,7 @@ func TestLPDecodeChebyshev(t *testing.T) {
 	x := synth.BinaryDataset(rng, n, 0.5)
 	queries := query.RandomSubsets(rng, n, 4*n)
 	o := &query.BoundedNoise{X: x, Alpha: 1.0, Rng: rng}
-	got, _, err := LPDecode(ctx, o, queries, Chebyshev)
+	got, _, err := lpDecode(o, queries, Chebyshev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,15 +191,18 @@ func TestLPDecodeChebyshev(t *testing.T) {
 
 func TestLPDecodeErrors(t *testing.T) {
 	x := []int64{1, 0}
-	if _, _, err := LPDecode(ctx, &query.Exact{X: x}, nil, L1Slack); err == nil {
+	if _, _, err := lpDecode(&query.Exact{X: x}, nil, L1Slack); err == nil {
 		t.Error("no queries should fail")
 	}
-	if _, _, err := LPDecode(ctx, &query.Exact{X: x}, [][]int{{0}}, LPObjective(99)); err == nil {
+	if _, _, err := lpDecode(&query.Exact{X: x}, [][]int{{0}}, LPObjective(99)); err == nil {
 		t.Error("unknown objective should fail")
 	}
-	b := &query.Budgeted{Inner: &query.Exact{X: x}, Limit: 0}
-	if _, _, err := LPDecode(ctx, b, [][]int{{0}}, L1Slack); err == nil {
-		t.Error("oracle error should propagate")
+	dec, err := NewDecoder(len(x), [][]int{{0}}, L1Slack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := dec.Decode(ctx, []float64{1, 0}); err == nil {
+		t.Error("an answer count other than the query count should fail")
 	}
 }
 
@@ -207,7 +224,7 @@ func TestLPDecodeAgainstLaplaceOracle(t *testing.T) {
 	x := synth.BinaryDataset(rng, n, 0.5)
 	queries := query.RandomSubsets(rng, n, 4*n)
 	o := &query.Laplace{X: x, Eps: 5, Rng: rng}
-	got, _, err := LPDecode(ctx, o, queries, L1Slack)
+	got, _, err := lpDecode(o, queries, L1Slack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +236,7 @@ func TestLPDecodeAgainstLaplaceOracle(t *testing.T) {
 // TestDuplicateIndexQueryConsistency is the regression test for the
 // attacker/oracle disagreement on duplicated query indices: the oracle's
 // trueSum counted index 0 twice in {0,0,1} while Exhaustive's bitmask (and
-// LPDecode's coefficient rows) collapsed it to one — the two sides
+// the LP decoder's coefficient rows) collapsed it to one — the two sides
 // answered different questions. Both paths now reject the query, and with
 // the same verdict: it is not a subset of [n].
 func TestDuplicateIndexQueryConsistency(t *testing.T) {
@@ -232,11 +249,11 @@ func TestDuplicateIndexQueryConsistency(t *testing.T) {
 	// Attacker paths reject the same query (before ever reaching an
 	// oracle that might have answered it with double-counting), and say
 	// why — the old behaviour was a misleading "no consistent candidate"
-	// from Exhaustive and a silently wrong reconstruction from LPDecode.
+	// from Exhaustive and a silently wrong reconstruction from the LP.
 	if _, err := Exhaustive(ctx, &lyingOracle{n: 4}, dup, 0); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("Exhaustive should reject a duplicate-index query as such, got %v", err)
 	}
-	if _, _, err := LPDecode(ctx, &lyingOracle{n: 4}, dup, L1Slack); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Errorf("LPDecode should reject a duplicate-index query as such, got %v", err)
+	if _, err := NewDecoder(4, dup, L1Slack); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Errorf("NewDecoder should reject a duplicate-index query as such, got %v", err)
 	}
 }
