@@ -10,9 +10,9 @@
 #   make lint-fix  apply repolint's suggested fixes in place, then re-lint
 #   make bench     quick instrumented repro run producing BENCH_<rev>.json
 #   make benchgate benchdiff against the committed BENCH_baseline.json
-#   make loadgen-smoke  sharded in-process qserver under injected
+#   make loadgen-smoke  one-slot in-process qserver under injected
 #                  overload; requires the BENCH.qserver.* rows
-#                  (throughput/latency/shards/shed) to survive
+#                  (throughput/latency/shed) to survive
 #   make gobench   the root go test -bench suite with work counters
 #   make repro     full-size experiment tables (what EXPERIMENTS.md archives)
 
@@ -115,7 +115,7 @@ benchgate: repro-quick
 loadgen-smoke:
 	mkdir -p /tmp/singlingout-loadgen
 	$(GO) run ./cmd/loadgen -analysts 4 -requests 16 -budget 100 \
-		-shards 2 -max-concurrent 1 -queue-depth -1 -inject-delay 5ms -concurrency 4 \
+		-max-concurrent 1 -queue-depth -1 -inject-delay 5ms -concurrency 4 \
 		-metrics /tmp/singlingout-loadgen/loadgen.jsonl
 	$(GO) run ./cmd/benchdiff -gate 50 -min 0.25 -require BENCH.qserver. BENCH_loadgen_baseline.json /tmp/singlingout-loadgen/BENCH_$(rev).json
 

@@ -10,13 +10,13 @@
 //	loadgen [-url http://host:port] [-analysts 4] [-requests 16] [-batch 8]
 //	        [-pool 64] [-zipf 1.3] [-repeat 0.25] [-backend exact]
 //	        [-concurrency 1] [-seed 42] [-n 96] [-p 0.5] [-budget 0]
-//	        [-shards 1] [-queue-depth 64] [-max-concurrent 16]
+//	        [-queue-depth 64] [-max-concurrent 16]
 //	        [-inject-delay 0] [-metrics journal.jsonl]
 //
 // Without -url, loadgen starts an in-process qserver on a loopback
-// listener (sized by -n/-p/-budget at -seed, partitioned by -shards with
-// per-shard admission control from -queue-depth/-max-concurrent) and
-// drives that, so a single command smoke-tests the whole service stack.
+// listener (sized by -n/-p/-budget at -seed, with admission control from
+// -queue-depth/-max-concurrent) and drives that, so a single command
+// smoke-tests the whole service stack.
 // -inject-delay adds artificial per-request service time to that server,
 // which together with a small -max-concurrent and -queue-depth -1 (no
 // waiting room) produces reproducible overload: shed requests surface in
@@ -94,9 +94,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 96, "in-process server: dataset size")
 	p := fs.Float64("p", 0.5, "in-process server: Bernoulli parameter")
 	budget := fs.Int("budget", 0, "in-process server: per-analyst fresh-query budget (0 = unlimited)")
-	shards := fs.Int("shards", 1, "in-process server: cache/ledger partitions")
-	queueDepth := fs.Int("queue-depth", 64, "in-process server: per-shard admission queue bound (-1 = no waiting room)")
-	maxConcurrent := fs.Int("max-concurrent", 16, "in-process server: total active-request bound across shards")
+	queueDepth := fs.Int("queue-depth", 64, "in-process server: admission queue bound (-1 = no waiting room)")
+	maxConcurrent := fs.Int("max-concurrent", 16, "in-process server: server-wide active-request bound")
 	injectDelay := fs.Duration("inject-delay", 0, "in-process server: artificial per-request service time (overload testing)")
 	metricsPath := fs.String("metrics", "", "write a JSONL journal here and a BENCH_<rev>.json summary beside it")
 	if err := fs.Parse(args); err != nil {
@@ -127,8 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if base == "" {
 		srv, err := remote.NewServer(remote.ServerConfig{
 			N: *n, Seed: *seed, P: *p, Budget: *budget,
-			Shards: *shards, QueueDepth: *queueDepth,
-			MaxConcurrent: *maxConcurrent, Delay: *injectDelay,
+			QueueDepth: *queueDepth, MaxConcurrent: *maxConcurrent, Delay: *injectDelay,
 		})
 		if err != nil {
 			fmt.Fprintf(stderr, "loadgen: %v\n", err)
@@ -284,8 +282,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		_ = journal.Emit(load)
 		_ = journal.Emit(obs.Event{Phase: "experiment", ID: "BENCH.qserver.p50", Seed: *seed, Seconds: p50.Seconds()})
 		_ = journal.Emit(obs.Event{Phase: "experiment", ID: "BENCH.qserver.p99", Seed: *seed, Seconds: p99.Seconds()})
-		_ = journal.Emit(obs.Event{Phase: "experiment", ID: "BENCH.qserver.shards", Seed: *seed,
-			Sizes: map[string]int{"shards": *shards}})
 		_ = journal.Emit(obs.Event{Phase: "experiment", ID: "BENCH.qserver.shed", Seed: *seed,
 			Sizes: map[string]int{"shed": shedTotal, "requests": totalRequests}})
 		_ = journal.Emit(obs.Event{Phase: "run_end", Seed: *seed, Seconds: elapsed.Seconds()})

@@ -81,17 +81,17 @@ func TestBudgetDenialsSurface(t *testing.T) {
 	}
 }
 
-// TestOverloadInjectionSheds drives a deliberately undersized sharded
-// server (one active slot per shard, no waiting room, injected service
-// time) with concurrent analysts: requests must be shed, the run must
-// still exit 0 with a replay-clean ledger (shedding never corrupts
-// budget accounting), and the bench summary must carry the shed/shards
-// rows the CI gate requires.
+// TestOverloadInjectionSheds drives a deliberately undersized server
+// (one active slot, no waiting room, injected service time) with
+// concurrent analysts: requests must be shed, the run must still exit 0
+// with a replay-clean ledger (shedding never corrupts budget
+// accounting), and the bench summary must carry the shed row the CI
+// gate requires.
 func TestOverloadInjectionSheds(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "loadgen.jsonl")
 	args := []string{"-analysts", "4", "-requests", "6", "-batch", "4",
-		"-shards", "2", "-max-concurrent", "1", "-queue-depth", "-1",
+		"-max-concurrent", "1", "-queue-depth", "-1",
 		"-inject-delay", "10ms", "-concurrency", "4", "-metrics", journal}
 	before := obs.Default().Snapshot()
 	var out bytes.Buffer
@@ -117,10 +117,8 @@ func TestOverloadInjectionSheds(t *testing.T) {
 	for _, e := range sum.Experiments {
 		got[e.ID] = true
 	}
-	for _, id := range []string{"BENCH.qserver.shards", "BENCH.qserver.shed"} {
-		if !got[id] {
-			t.Errorf("bench summary missing row %s (have %v)", id, got)
-		}
+	if !got["BENCH.qserver.shed"] {
+		t.Errorf("bench summary missing row BENCH.qserver.shed (have %v)", got)
 	}
 }
 

@@ -10,15 +10,14 @@
 //	qserver [-addr :8090] [-n 96] [-seed 42] [-p 0.5]
 //	        [-eps 1] [-sd 1.5] [-threshold 8]
 //	        [-budget 0] [-max-batch 4096] [-max-concurrent 16] [-workers 0]
-//	        [-shards 1] [-queue-depth 64] [-wal ledger.wal] [-wal-sync]
+//	        [-queue-depth 64] [-wal ledger.wal] [-wal-sync]
 //	        [-metrics journal.jsonl]
 //
-// -shards partitions the answer cache and privacy-loss ledger across
-// independent locks; -queue-depth bounds each shard's admission queue
-// (excess load is shed with a typed "overloaded" refusal). -wal makes
-// the ledger durable: every spend/refund/deny is appended to the file
-// before it takes effect, and a restart replays it — spent budget
-// survives the restart.
+// -max-concurrent bounds the requests served at once and -queue-depth
+// the requests waiting for a slot; excess load is shed with a typed
+// "overloaded" refusal. -wal makes the ledger durable: every
+// spend/refund/deny is appended to the file before it takes effect, and
+// a restart replays it — spent budget survives the restart.
 //
 // Endpoints:
 //
@@ -68,10 +67,9 @@ func run(args []string, ready func(addr string)) int {
 	threshold := fs.Int("threshold", 8, "diffix backend: low-count suppression bound")
 	budget := fs.Int("budget", 0, "per-analyst fresh-query budget (0 = unlimited)")
 	maxBatch := fs.Int("max-batch", 4096, "largest accepted query batch")
-	maxConcurrent := fs.Int("max-concurrent", 16, "concurrent request bound")
+	maxConcurrent := fs.Int("max-concurrent", 16, "server-wide concurrent request bound")
 	workers := fs.Int("workers", 0, "pool workers per fresh sub-batch (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 1, "cache/ledger partitions (consistent hashing; answers are shard-count invariant)")
-	queueDepth := fs.Int("queue-depth", 64, "per-shard admission queue bound (-1 = no waiting room)")
+	queueDepth := fs.Int("queue-depth", 64, "admission queue bound (-1 = no waiting room)")
 	walPath := fs.String("wal", "", "ledger write-ahead log file (durable budget accounting across restarts)")
 	walSync := fs.Bool("wal-sync", false, "fsync the ledger WAL after every entry")
 	metricsPath := fs.String("metrics", "", "write a JSONL journal (one event per query batch) to this file")
@@ -102,8 +100,7 @@ func run(args []string, ready func(addr string)) int {
 		N: *n, Seed: *seed, P: *p,
 		Eps: *eps, SD: *sd, Threshold: *threshold,
 		Budget: *budget, MaxBatch: *maxBatch,
-		MaxConcurrent: *maxConcurrent, Workers: *workers,
-		Shards: *shards, QueueDepth: *queueDepth,
+		MaxConcurrent: *maxConcurrent, Workers: *workers, QueueDepth: *queueDepth,
 		WALPath: *walPath, WALSync: *walSync,
 		Journal: journal,
 	})
@@ -143,13 +140,13 @@ func run(args []string, ready func(addr string)) int {
 	}
 	bound := ln.Addr().String()
 	meta := rsrv.Meta()
-	fmt.Fprintf(os.Stderr, "qserver: dataset n=%d seed=%d p=%g; backends %v; budget=%d shards=%d wal=%q\n",
-		meta.N, meta.Seed, meta.P, meta.Backends, meta.Budget, *shards, *walPath)
+	fmt.Fprintf(os.Stderr, "qserver: dataset n=%d seed=%d p=%g; backends %v; budget=%d wal=%q\n",
+		meta.N, meta.Seed, meta.P, meta.Backends, meta.Budget, *walPath)
 	fmt.Fprintf(os.Stderr, "qserver: query API at http://%s/v1/ — observability at http://%s/\n", bound, bound)
 	_ = journal.Emit(obs.Event{
 		Phase: "serve_start",
 		Seed:  *seed,
-		Sizes: map[string]int{"n": *n, "budget": *budget, "max_batch": *maxBatch, "max_concurrent": *maxConcurrent, "shards": *shards},
+		Sizes: map[string]int{"n": *n, "budget": *budget, "max_batch": *maxBatch, "max_concurrent": *maxConcurrent},
 	})
 
 	hs := &http.Server{Handler: handler}

@@ -97,17 +97,15 @@ func TestServeRoundTrip(t *testing.T) {
 }
 
 // TestRestartResumesWAL boots qserver with a ledger WAL, spends budget,
-// SIGTERMs it, boots a second process over the same WAL (sharded this
-// time), and checks the spend survived — the full-process version of the
+// SIGTERMs it, boots a second process over the same WAL, and checks the
+// spend survived — the full-process version of the
 // restart-durability guarantee.
 func TestRestartResumesWAL(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "ledger.wal")
-	boot := func(extra ...string) (string, chan int) {
+	boot := func() (string, chan int) {
 		ready := make(chan string, 1)
 		done := make(chan int, 1)
-		args := append([]string{
-			"-addr", "127.0.0.1:0", "-n", "24", "-seed", "7", "-budget", "10", "-wal", walPath,
-		}, extra...)
+		args := []string{"-addr", "127.0.0.1:0", "-n", "24", "-seed", "7", "-budget", "10", "-wal", walPath}
 		go func() { done <- run(args, func(addr string) { ready <- addr }) }()
 		select {
 		case addr := <-ready:
@@ -144,7 +142,7 @@ func TestRestartResumesWAL(t *testing.T) {
 	}
 	stop(done)
 
-	base2, done2 := boot("-shards", "2")
+	base2, done2 := boot()
 	defer stop(done2)
 	o2, err := remote.Dial(ctx, base2, remote.Options{Analyst: "alice", Backoff: time.Millisecond})
 	if err != nil {

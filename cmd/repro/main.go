@@ -206,7 +206,9 @@ func benchLPProbe(emit func(obs.Event), seed int64) error {
 // oracle are deterministic per seed, so the converge.queries counter the
 // rows carry is noise-free across hosts — benchdiff gates it
 // lower-is-better (more queries for the same accuracy = weaker decoder)
-// and ignores the rows' wall clock.
+// and ignores the rows' wall clock. Both rows come from one run, so its
+// wall clock goes on the q50 row only: the summary's total_seconds
+// counts the probe once.
 func benchConvergeProbe(emit func(obs.Event), seed int64) error {
 	const n, chunk = 64, 16
 	x := synth.BinaryDataset(par.RNG(seed, 1), n, 0.5)
@@ -217,9 +219,10 @@ func benchConvergeProbe(emit func(obs.Event), seed int64) error {
 	}
 	elapsed := time.Since(start).Seconds()
 	for _, row := range []struct {
-		id string
-		th float64
-	}{{"BENCH.converge.q50", 0.5}, {"BENCH.converge.q90", 0.9}} {
+		id      string
+		th      float64
+		seconds float64
+	}{{"BENCH.converge.q50", 0.5, elapsed}, {"BENCH.converge.q90", 0.9, 0}} {
 		q, ok := res.ToAccuracy[row.th]
 		if !ok {
 			return fmt.Errorf("accuracy %.0f%% never reached over %d queries", 100*row.th, res.Queries)
@@ -228,7 +231,7 @@ func benchConvergeProbe(emit func(obs.Event), seed int64) error {
 			Phase:   "experiment",
 			ID:      row.id,
 			Seed:    seed,
-			Seconds: elapsed,
+			Seconds: row.seconds,
 			Sizes:   map[string]int{"n": n, "queries": res.Queries, "chunk": chunk},
 			Metrics: &obs.Snapshot{Counters: map[string]int64{obs.ConvergeCounter: int64(q)}},
 		})

@@ -13,7 +13,7 @@
 //     (cfg.go) and run a forward taint engine (taint.go) or a custom
 //     fixpoint over it — the privacy invariants (raw microdata never
 //     reaches the wire, budget spends always settle, WAL-append-before-
-//     apply, shard lock discipline) are path properties that no AST walk
+//     apply, lock discipline) are path properties that no AST walk
 //     can express.
 //
 // Analyzers may attach a machine-applicable SuggestedFix to a

@@ -8,13 +8,13 @@ import (
 	"strings"
 )
 
-// LockDiscipline keeps shard critical sections non-blocking. The query
-// server's scalability story is "no lock spans shards": each cache and
-// ledger shard has its own mutex, and the code holding one must not
-// acquire another lock, perform network I/O, or block on a channel —
-// any of those turns a shard lock into a convoy (or a deadlock) under
-// load, which shows up as tail latency in exactly the admission-control
-// measurements the loadgen gates on.
+// LockDiscipline keeps critical sections non-blocking. Every query
+// server request takes the answer-cache mutex and, for fresh queries,
+// the ledger mutex — one at a time, never nested — and the code holding
+// one must not acquire another lock, perform network I/O, or block on a
+// channel: any of those turns a lock every request shares into a convoy
+// (or a deadlock) under load, which shows up as tail latency in exactly
+// the admission-control measurements the loadgen gates on.
 //
 // The analysis is an intra-procedural lock-set dataflow: sync.Mutex /
 // sync.RWMutex Lock/RLock calls add the receiver to the held set,
@@ -22,15 +22,15 @@ import (
 // which is the sanctioned pattern), and while the set is non-empty the
 // analyzer flags:
 //
-//   - acquiring any further mutex (second shard lock, or a self-deadlock
-//     on the same one);
+//   - acquiring any further mutex (a second lock, or a self-deadlock on
+//     the same one);
 //   - channel sends, receives, and select statements;
 //   - known blockers: time.Sleep, sync.WaitGroup.Wait, sync.Cond.Wait;
 //   - network I/O (any call into net or net/http).
 //
 // The single allowlisted blocking call is the WAL file append
 // (wal.append): write-ahead durability REQUIRES the disk write inside
-// the ledger shard's critical section — that ordering is what walorder
+// the ledger's critical section — that ordering is what walorder
 // enforces — and the WAL is a local file, not a network round-trip.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
@@ -262,7 +262,7 @@ func receiverKey(pass *Pass, x ast.Expr) (key, name string) {
 	return base + "|" + name, name
 }
 
-// blockingCall classifies calls that must not run under a shard lock.
+// blockingCall classifies calls that must not run under a held lock.
 func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	fn := pass.CalleeFunc(call)
 	if fn == nil {

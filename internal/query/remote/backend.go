@@ -14,12 +14,12 @@ import (
 // through the same interface (Builtins), so a k-anonymized or
 // DP-histogram backend plugs into the server by appearing in
 // ServerConfig.Backends — no server code changes, and the wire schema,
-// budget accounting, caching and sharding apply to it unmodified.
+// budget accounting and caching apply to it unmodified.
 //
 // Open is called once at server construction. The returned oracle must
 // be safe for concurrent use and deterministic per canonical query
-// (same query set, same answer) — the answer cache and the shard
-// invariance guarantee both rely on it.
+// (same query set, same answer) — the answer cache relies on it: a
+// cached answer must equal a fresh one for every analyst.
 type Backend interface {
 	// Name is the wire name of the endpoint: lowercase identifier
 	// ([a-z][a-z0-9_]*), unique within one server.

@@ -147,7 +147,6 @@ func TestOverloadShedsTyped(t *testing.T) {
 	cfg := remote.ServerConfig{
 		Seed:          29,
 		MaxConcurrent: 1,
-		Shards:        1,
 		QueueDepth:    -1, // no waiting room: second request sheds immediately
 		Backends:      []remote.Backend{bb},
 		Registry:      reg,

@@ -8,7 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"singlingout/internal/diffix"
@@ -48,19 +48,12 @@ type ServerConfig struct {
 
 	Budget        int // per-analyst fresh-query budget, 0 = unlimited
 	MaxBatch      int // largest accepted batch, 0 = default 4096
-	MaxConcurrent int // total active-request bound, split across shards; 0 = default 16
+	MaxConcurrent int // server-wide active-request bound; 0 = default 16
 	Workers       int // pool workers per fresh sub-batch, 0 = GOMAXPROCS
 
-	// Shards partitions the answer cache (by canonical query) and the
-	// privacy-loss ledger + admission control (by analyst id) across
-	// independent locks via consistent hashing; 0 = 1. Reconstruction
-	// results are byte-identical at any shard count: every backend is
-	// deterministic per canonical query, so partitioning changes
-	// contention, never answers.
-	Shards int
-	// QueueDepth bounds each shard's admission queue: requests admitted
-	// but waiting for an active slot. Beyond active+QueueDepth a request
-	// is shed with CodeOverloaded instead of queuing unboundedly.
+	// QueueDepth bounds the admission queue: requests admitted but
+	// waiting for an active slot. Beyond MaxConcurrent+QueueDepth a
+	// request is shed with CodeOverloaded instead of queuing unboundedly.
 	// 0 = default 64, negative = no waiting room (shed when all active
 	// slots are busy).
 	QueueDepth int
@@ -97,11 +90,10 @@ type ServerConfig struct {
 // the dataset; analysts see nothing but noisy (or exact, for the
 // calibration backend) counting-query answers, per-analyst budget
 // accounting, and an answer cache that makes repeated queries free — the
-// reference architecture the paper's attacks are aimed at. State is
-// partitioned across shards (per-query cache shards, per-analyst ledger
-// and admission shards) so no lock in the request path is global, and
-// the ledger optionally writes ahead to a durable log so a restart never
-// forgets — and therefore never refunds — spent epsilon.
+// reference architecture the paper's attacks are aimed at. The request
+// path takes two short locks, never together: the answer cache's and the
+// ledger's. The ledger optionally writes ahead to a durable log so a
+// restart never forgets — and therefore never refunds — spent epsilon.
 type Server struct {
 	cfg      ServerConfig
 	x        []int64
@@ -111,14 +103,11 @@ type Server struct {
 	tracer   *obs.Tracer
 	lane     int // trace lane of the query handler
 
-	ring       *ring
-	caches     []cacheShard
-	cacheCount atomic.Int64 // distinct cached keys across shards
-	ledgers    []*ledger
-	seq        atomic.Int64 // global ledger sequence, shared by all shards
-	wal        *wal         // nil without WALPath
-	admits     []*admission
-	waiting    atomic.Int64 // queued-not-active requests across shards
+	cacheMu sync.Mutex
+	cache   map[string]float64 // queryKey -> answer
+	ledger  *ledger
+	wal     *wal // nil without WALPath
+	admit   *admission
 
 	requests       *obs.Counter
 	batchQueries   *obs.Counter
@@ -163,9 +152,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 8
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
 	switch {
 	case cfg.QueueDepth == 0:
 		cfg.QueueDepth = 64
@@ -198,7 +184,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		backends: backends,
 		tracer:   tracer,
 		lane:     tracer.NewLane("qserver http"),
-		ring:     newRing(cfg.Shards),
+		cache:    make(map[string]float64),
 
 		requests:       reg.Counter(MetricRequests),
 		batchQueries:   reg.Counter(MetricBatchQueries),
@@ -219,58 +205,25 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	sort.Strings(s.names)
 
-	// Replay the WAL (if any) before any shard exists, then partition the
-	// replayed history by the same ring the live path uses — entries
-	// written under one shard count load cleanly under another.
+	// Replay the WAL (if any) before the server takes traffic: the ledger
+	// resumes from the replayed history and the totals ReplayLedger
+	// derived from it.
 	var replayed []LedgerEntry
+	totals := map[string]int{}
 	if cfg.WALPath != "" {
 		w, entries, err := openWAL(cfg.WALPath, cfg.WALSync)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := ReplayLedger(entries); err != nil {
+		if totals, err = ReplayLedger(entries); err != nil {
 			w.Close()
 			return nil, fmt.Errorf("remote: wal %s does not replay: %w", cfg.WALPath, err)
 		}
 		s.wal = w
 		replayed = entries
 	}
-	s.caches = make([]cacheShard, cfg.Shards)
-	for i := range s.caches {
-		s.caches[i].m = make(map[string]float64)
-	}
-	perShard := (cfg.MaxConcurrent + cfg.Shards - 1) / cfg.Shards
-	s.ledgers = make([]*ledger, cfg.Shards)
-	s.admits = make([]*admission, cfg.Shards)
-	for i := range s.ledgers {
-		s.ledgers[i] = newLedger(&s.seq, s.wal)
-		s.admits[i] = newAdmission(perShard, cfg.QueueDepth, &s.waiting, s.queueDepth)
-	}
-	if len(replayed) > 0 {
-		byShard := make([][]LedgerEntry, cfg.Shards)
-		totals := make([]map[string]int, cfg.Shards)
-		maxSeq := int64(0)
-		for _, e := range replayed {
-			sh := s.ring.shard(ledgerKey(e.Analyst))
-			byShard[sh] = append(byShard[sh], e)
-			if totals[sh] == nil {
-				totals[sh] = map[string]int{}
-			}
-			switch e.Op {
-			case LedgerSpend:
-				totals[sh][e.Analyst] += e.Cost
-			case LedgerRefund:
-				totals[sh][e.Analyst] -= e.Cost
-			}
-			if e.Seq > maxSeq {
-				maxSeq = e.Seq
-			}
-		}
-		s.seq.Store(maxSeq)
-		for i := range s.ledgers {
-			s.ledgers[i].seed(byShard[i], totals[i])
-		}
-	}
+	s.ledger = newLedger(s.wal, replayed, totals)
+	s.admit = newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, s.queueDepth)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/meta", s.handleMeta)
@@ -316,20 +269,19 @@ func (s *Server) Meta() Meta {
 		Backends:     append([]string(nil), s.names...),
 		Budget:       s.cfg.Budget,
 		MaxBatch:     s.cfg.MaxBatch,
-		Shards:       s.cfg.Shards,
 		QueueDepth:   s.cfg.QueueDepth,
 		RetryAfterMs: int(s.cfg.RetryAfter / time.Millisecond),
 	}
 }
 
 // metaAt shapes the metadata to one wire version: a v1 view omits the
-// v2 topology/overload fields entirely, so pre-v2 clients decode exactly
-// the schema they were built against.
+// v2 overload fields entirely, so pre-v2 clients decode exactly the
+// schema they were built against.
 func (s *Server) metaAt(v int) Meta {
 	m := s.Meta()
 	m.V = v
 	if v < V2 {
-		m.Shards, m.QueueDepth, m.RetryAfterMs = 0, 0, 0
+		m.QueueDepth, m.RetryAfterMs = 0, 0
 	}
 	return m
 }
@@ -406,21 +358,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		analyst = "anon"
 	}
 
-	// Admission control on the analyst's shard: claim a bounded queue
-	// slot or shed immediately — under overload the server answers
-	// "retry later" in microseconds instead of stacking requests.
-	shard := s.ring.shard(ledgerKey(analyst))
-	if err := s.admits[shard].enter(ctx); err != nil {
+	// Admission control: claim a bounded queue slot or shed immediately —
+	// under overload the server answers "retry later" in microseconds
+	// instead of stacking requests.
+	if err := s.admit.enter(ctx); err != nil {
 		if errors.Is(err, errShed) {
 			s.shed.Add(1)
 			s.journal(name, analyst, trace, len(req.Queries), 0, 0, CodeOverloaded)
-			s.failOverloaded(w, v, fmt.Sprintf("shard %d admission queue full", shard))
+			s.failOverloaded(w, v, errShed.Error())
 			return
 		}
 		s.fail(w, v, http.StatusServiceUnavailable, CodeInternal, "cancelled while waiting for a slot")
 		return
 	}
-	defer s.admits[shard].leave()
+	defer s.admit.leave()
 
 	// Injected service time (overload testing): holds the active slot so
 	// concurrent load actually contends on admission.
@@ -453,28 +404,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		keys[i] = queryKey(name, cq)
 	}
 
-	// Cache pass, one lock per touched cache shard: split the batch into
-	// hits and distinct misses. Only fresh (uncached) queries spend
-	// budget — asking again is free.
-	byShard := make([][]int, len(s.caches))
-	for i, k := range keys {
-		sh := s.ring.shard(k)
-		byShard[sh] = append(byShard[sh], i)
-	}
-	cachedMask := make([]bool, len(keys))
-	for si := range byShard {
-		if len(byShard[si]) == 0 {
-			continue
-		}
-		c := &s.caches[si]
-		c.mu.Lock()
-		for _, i := range byShard[si] {
-			if _, ok := c.m[keys[i]]; ok {
-				cachedMask[i] = true
-			}
-		}
-		c.mu.Unlock()
-	}
+	// Cache pass: split the batch into hits and distinct misses. Only
+	// fresh (uncached) queries spend budget — asking again is free.
 	type missT struct {
 		key string
 		q   []int
@@ -483,8 +414,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var missKeys []string
 	seen := make(map[string]bool)
 	cached := 0
+	s.cacheMu.Lock()
 	for i, k := range keys {
-		if cachedMask[i] {
+		if _, ok := s.cache[k]; ok {
 			cached++
 			continue
 		}
@@ -494,18 +426,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			missKeys = append(missKeys, k)
 		}
 	}
+	s.cacheMu.Unlock()
 	fresh := len(misses)
 
 	// Reserve the fresh queries all-or-nothing against the analyst's
-	// ledger shard: a granted reservation appends a spend entry, a
-	// refused one a deny entry — either way the movement hits the WAL
-	// (when durable) and the audit trail before any backend runs. A WAL
-	// append failure moves nothing and fails the batch. Zero-cost batches
-	// (all cached) leave no entry.
-	led := s.ledgers[shard]
+	// budget: a granted reservation appends a spend entry, a refused one
+	// a deny entry — either way the movement hits the WAL (when durable)
+	// and the audit trail before any backend runs. A WAL append failure
+	// moves nothing and fails the batch. Zero-cost batches (all cached)
+	// leave no entry.
 	hash := batchHash(missKeys)
 	if fresh > 0 {
-		entry, ok, lerr := led.spend(analyst, name, hash, trace, fresh, s.cfg.Budget)
+		entry, ok, lerr := s.ledger.spend(analyst, name, hash, trace, fresh, s.cfg.Budget)
 		if lerr != nil {
 			s.journal(name, analyst, trace, len(req.Queries), cached, fresh, CodeInternal)
 			s.fail(w, v, http.StatusInternalServerError, CodeInternal, "ledger wal: "+lerr.Error())
@@ -542,7 +474,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// All-or-nothing: a failed batch spends nothing — the refund is
 		// its own ledger entry, so the audit trail shows the attempt.
 		if fresh > 0 {
-			re, rerr := led.refund(analyst, name, hash, trace, fresh)
+			re, rerr := s.ledger.refund(analyst, name, hash, trace, fresh)
 			if rerr != nil {
 				s.journal(name, analyst, trace, len(req.Queries), cached, fresh, CodeInternal)
 				s.fail(w, v, http.StatusInternalServerError, CodeInternal,
@@ -569,47 +501,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Store the fresh answers into their cache shards, then read every
-	// answer back — all answers come from the cache, so repeated keys in
-	// one batch and repeated batches across analysts observe one value.
-	freshByShard := make([][]int, len(s.caches))
-	for i := range misses {
-		sh := s.ring.shard(misses[i].key)
-		freshByShard[sh] = append(freshByShard[sh], i)
-	}
-	var newKeys int64
-	for si := range freshByShard {
-		if len(freshByShard[si]) == 0 {
-			continue
-		}
-		c := &s.caches[si]
-		c.mu.Lock()
-		for _, i := range freshByShard[si] {
-			if _, ok := c.m[misses[i].key]; !ok {
-				newKeys++
-			}
-			c.m[misses[i].key] = fresh64[i]
-		}
-		c.mu.Unlock()
-	}
-	if newKeys > 0 {
-		s.cacheSize.Set(float64(s.cacheCount.Add(newKeys)))
-	}
+	// Store the fresh answers, then read every answer back — all answers
+	// come from the cache, so repeated keys in one batch and repeated
+	// batches across analysts observe one value.
 	answers := make([]float64, len(keys))
-	for si := range byShard {
-		if len(byShard[si]) == 0 {
-			continue
-		}
-		c := &s.caches[si]
-		c.mu.Lock()
-		for _, i := range byShard[si] {
-			answers[i] = c.m[keys[i]]
-		}
-		c.mu.Unlock()
+	s.cacheMu.Lock()
+	for i := range misses {
+		s.cache[misses[i].key] = fresh64[i]
 	}
+	for i, k := range keys {
+		answers[i] = s.cache[k]
+	}
+	if fresh > 0 {
+		s.cacheSize.Set(float64(len(s.cache)))
+	}
+	s.cacheMu.Unlock()
 	remaining := -1
 	if s.cfg.Budget > 0 {
-		remaining = s.cfg.Budget - led.total(analyst)
+		remaining = s.cfg.Budget - s.ledger.total(analyst)
 	}
 
 	s.journal(name, analyst, trace, len(req.Queries), cached, fresh, "")
@@ -654,16 +563,16 @@ func (s *Server) journalBudget(e LedgerEntry) {
 }
 
 // handleLedger serves the append-only privacy-loss ledger (GET, optional
-// ?analyst= filter): the full spend/refund/deny history merged across
-// shards in sequence order, plus the current per-analyst net totals.
-// Mounted at both /v1/ledger and /ledger.
+// ?analyst= filter): the full spend/refund/deny history in sequence
+// order, plus the current per-analyst net totals. Mounted at both
+// /v1/ledger and /ledger.
 func (s *Server) handleLedger(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.fail(w, V, http.StatusMethodNotAllowed, CodeBadRequest, "GET only")
 		return
 	}
 	s.requests.Add(1)
-	entries, totals := mergeSnapshots(s.ledgers, r.URL.Query().Get("analyst"))
+	entries, totals := s.ledger.snapshot(r.URL.Query().Get("analyst"))
 	writeJSON(w, http.StatusOK, LedgerResponse{
 		V: V, Budget: s.cfg.Budget, Totals: totals, Entries: entries,
 	})
@@ -715,18 +624,20 @@ func queryKey(backend string, canonical []int) string {
 }
 
 // BudgetSpent reports the fresh queries an analyst has net spent (test
-// and telemetry hook); it is the analyst's ledger-shard total.
+// and telemetry hook).
 func (s *Server) BudgetSpent(analyst string) int {
-	return s.ledgers[s.ring.shard(ledgerKey(analyst))].total(analyst)
+	return s.ledger.total(analyst)
 }
 
 // Ledger returns the current entry history and totals (optionally
 // filtered to one analyst), the same view GET /v1/ledger serves.
 func (s *Server) Ledger(analyst string) ([]LedgerEntry, map[string]int) {
-	return mergeSnapshots(s.ledgers, analyst)
+	return s.ledger.snapshot(analyst)
 }
 
-// CacheLen reports the answer-cache population across all shards.
+// CacheLen reports the answer-cache population.
 func (s *Server) CacheLen() int {
-	return int(s.cacheCount.Load())
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	return len(s.cache)
 }

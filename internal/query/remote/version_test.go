@@ -34,22 +34,22 @@ func getMeta(t *testing.T, url string) (remote.Meta, int, []byte) {
 }
 
 func TestMetaVersionNegotiation(t *testing.T) {
-	_, ts := newTestServer(t, remote.ServerConfig{Seed: 31, Shards: 2})
+	_, ts := newTestServer(t, remote.ServerConfig{Seed: 31})
 
-	// Baseline request: v1 shape, no topology fields.
-	m, status, _ := getMeta(t, ts.URL+"/v1/meta")
-	if status != http.StatusOK || m.V != 1 || m.Shards != 0 || m.RetryAfterMs != 0 {
-		t.Fatalf("v1 meta = %+v (status %d), want V=1 without topology fields", m, status)
+	// Baseline request: v1 shape, no overload fields on the wire.
+	m, status, body := getMeta(t, ts.URL+"/v1/meta")
+	if status != http.StatusOK || m.V != 1 || bytes.Contains(body, []byte("queue_depth")) || bytes.Contains(body, []byte("retry_after_ms")) {
+		t.Fatalf("v1 meta = %s (status %d), want v:1 without overload fields", body, status)
 	}
 
-	// v2 request: topology and overload semantics advertised.
-	m2, status, _ := getMeta(t, ts.URL+"/v1/meta?v=2")
-	if status != http.StatusOK || m2.V != 2 || m2.Shards != 2 || m2.QueueDepth != 64 || m2.RetryAfterMs <= 0 {
-		t.Fatalf("v2 meta = %+v (status %d)", m2, status)
+	// v2 request: overload semantics advertised.
+	m2, status, body := getMeta(t, ts.URL+"/v1/meta?v=2")
+	if status != http.StatusOK || m2.V != 2 || m2.QueueDepth != 64 || m2.RetryAfterMs <= 0 {
+		t.Fatalf("v2 meta = %s (status %d), want v:2 with queue_depth and retry_after_ms", body, status)
 	}
 
 	// Future version: typed refusal.
-	_, status, body := getMeta(t, ts.URL+"/v1/meta?v=9")
+	_, status, body = getMeta(t, ts.URL+"/v1/meta?v=9")
 	if status != http.StatusBadRequest {
 		t.Fatalf("v9 meta status = %d, want 400", status)
 	}
@@ -58,13 +58,30 @@ func TestMetaVersionNegotiation(t *testing.T) {
 		t.Fatalf("v9 meta body = %s, want code %q", body, remote.CodeUnsupportedVersion)
 	}
 
-	// Dial lands on v2 and sees the topology.
+	// Dial lands on v2 and sees the overload semantics.
 	o, err := remote.Dial(ctx, ts.URL, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.WireVersion() != 2 || o.Meta().Shards != 2 {
-		t.Fatalf("negotiated v%d with meta %+v, want v2 with shards", o.WireVersion(), o.Meta())
+	if o.WireVersion() != 2 || o.Meta().QueueDepth != 64 {
+		t.Fatalf("negotiated v%d with meta %+v, want v2 with queue_depth", o.WireVersion(), o.Meta())
+	}
+}
+
+// TestDialIgnoresShardsField: servers from before the single-lock
+// design also advertise an informational "shards" count in the v2 meta;
+// a client dials them at v2 and decodes everything else as usual.
+func TestDialIgnoresShardsField(t *testing.T) {
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"v":2,"n":16,"seed":1,"p":0.5,"backends":["exact"],"budget":0,"max_batch":64,"shards":2,"queue_depth":64,"retry_after_ms":50}`)
+	}))
+	defer old.Close()
+	o, err := remote.Dial(ctx, old.URL, fastOpts())
+	if err != nil {
+		t.Fatalf("Dial refused a v2 meta carrying shards: %v", err)
+	}
+	if m := o.Meta(); o.WireVersion() != 2 || m.N != 16 || m.QueueDepth != 64 || m.RetryAfterMs != 50 {
+		t.Fatalf("negotiated v%d with meta %+v, want v2 with n=16, queue_depth=64, retry_after_ms=50", o.WireVersion(), m)
 	}
 }
 
@@ -148,7 +165,7 @@ func TestGetRetriesTransient(t *testing.T) {
 			return
 		}
 		json.NewEncoder(w).Encode(remote.Meta{
-			V: 2, N: 16, Seed: 1, P: 0.5, Backends: []string{"exact"}, MaxBatch: 64, Shards: 1,
+			V: 2, N: 16, Seed: 1, P: 0.5, Backends: []string{"exact"}, MaxBatch: 64,
 		})
 	}))
 	defer flaky.Close()

@@ -42,11 +42,11 @@ type walFile interface {
 
 // openWAL opens (creating if needed) the WAL at path for appending and
 // returns it together with the entries already on disk, sorted by
-// sequence number. Entry lines are written under one lock but sequence
-// numbers are assigned under per-shard ledger locks, so lines can land
-// slightly out of global order; sorting by Seq restores the order
-// ReplayLedger validates (per-analyst order is already correct on disk,
-// because an analyst's entries are serialized by their shard's lock).
+// sequence number. The ledger assigns sequence numbers and appends under
+// one lock, so a log it writes is already in Seq order; the sort keeps
+// logs from older sharded servers loading, whose lines could land
+// slightly out of global order (each analyst's lines were still in
+// order, which is what ReplayLedger validates).
 //
 // A torn tail (see ReadWAL) is truncated away before the first append.
 // Appending straight after the fragment would merge it with the next
@@ -68,9 +68,9 @@ func openWAL(path string, syncEach bool) (*wal, []LedgerEntry, error) {
 	return &wal{f: f, size: size, syncEach: syncEach}, entries, nil
 }
 
-// append durably records one entry. Called with the entry's shard-ledger
-// lock held, before the in-memory append — a failure here must leave the
-// ledger unmoved.
+// append durably records one entry. Called with the ledger lock held,
+// before the in-memory append — a failure here must leave the ledger
+// unmoved.
 func (w *wal) append(e LedgerEntry) error {
 	line, err := json.Marshal(e)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"singlingout/internal/query"
@@ -26,10 +27,7 @@ func dialAnalyst(t *testing.T, url, backend, analyst string) *remote.Oracle {
 }
 
 // TestWALRestartKeepsSpentBudget is the restart-durability acceptance
-// test: epsilon spent before a restart is still spent after it. The
-// second server even runs a different shard count, proving the WAL is
-// portable across serving topologies (partitioning is recomputed per
-// analyst on replay).
+// test: epsilon spent before a restart is still spent after it.
 func TestWALRestartKeepsSpentBudget(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "ledger.wal")
 	cfg := remote.ServerConfig{Seed: 3, Budget: 8, WALPath: walPath}
@@ -47,8 +45,7 @@ func TestWALRestartKeepsSpentBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart from the WAL, under a different shard count.
-	cfg.Shards = 3
+	// Restart from the WAL.
 	srv2, ts2 := newTestServer(t, cfg)
 	if got := srv2.BudgetSpent("alice"); got != 6 {
 		t.Fatalf("restarted server remembers %d spent, want 6 — a restart must never refund epsilon", got)
@@ -263,6 +260,62 @@ func TestWALCrashAtEveryOffset(t *testing.T) {
 		if err := reboot.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestWALOutOfOrderLinesLoad: a server that assigned sequence numbers
+// under one lock per analyst partition could write lines slightly out of
+// Seq order, with analysts interleaved. Such a log must still open,
+// replay to the same totals, and continue numbering at max Seq + 1.
+func TestWALOutOfOrderLinesLoad(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "ledger.wal")
+	content := `{"seq":2,"analyst":"bob","op":"spend","backend":"exact","query_hash":"h2","cost":2,"cumulative":2}
+{"seq":1,"analyst":"alice","op":"spend","backend":"exact","query_hash":"h1","cost":1,"cumulative":1}
+{"seq":4,"analyst":"bob","op":"spend","backend":"exact","query_hash":"h4","cost":1,"cumulative":3}
+{"seq":3,"analyst":"alice","op":"spend","backend":"exact","query_hash":"h3","cost":3,"cumulative":4}
+{"seq":5,"analyst":"alice","op":"deny","backend":"exact","query_hash":"h5","cost":9,"cumulative":4}
+`
+	if err := os.WriteFile(walPath, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"alice": 4, "bob": 3}
+	entries, err := remote.ReadWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range entries {
+		if e.Seq != int64(i+1) {
+			t.Fatalf("ReadWAL entry %d has seq %d, want entries sorted 1..5", i, e.Seq)
+		}
+	}
+	totals, err := remote.ReplayLedger(entries)
+	if err != nil || !reflect.DeepEqual(totals, want) {
+		t.Fatalf("replay = %v (err %v), want %v", totals, err, want)
+	}
+
+	cfg := remote.ServerConfig{N: 16, P: 0.5, Seed: 11, Budget: 10, WALPath: walPath}
+	srv, ts := newTestServer(t, cfg)
+	if _, served := srv.Ledger(""); !reflect.DeepEqual(served, want) {
+		t.Fatalf("server boots with totals %v, want %v", served, want)
+	}
+	o := dialAnalyst(t, ts.URL, "exact", "bob")
+	if _, err := o.Answer(ctx, [][]int{{0}, {1}}); err != nil {
+		t.Fatal(err)
+	}
+	history, _ := srv.Ledger("")
+	if last := history[len(history)-1]; last.Seq != 6 || last.Analyst != "bob" || last.Cumulative != 5 {
+		t.Fatalf("first entry after restart = %+v, want bob's spend at seq 6, cumulative 5", last)
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err = remote.ReadWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if totals, err := remote.ReplayLedger(entries); err != nil || totals["bob"] != 5 || totals["alice"] != 4 {
+		t.Fatalf("WAL after restart replays to %v (err %v), want alice 4, bob 5", totals, err)
 	}
 }
 

@@ -21,12 +21,12 @@ import (
 // of misinterpreting fields.
 //
 // V2 extends the schema with production-serving metadata: /v1/meta?v=2
-// additionally advertises the server's shard count, per-shard admission
-// queue depth and overload retry hint, and overload refusals carry a
-// retry_after_ms hint. The query/ledger bodies are unchanged — a v1
-// client interoperates with a v2 server (it simply never asks for the
-// extended meta), and a v2 client downgrades to v1 against a v1 server
-// (an old server ignores the ?v= parameter and answers with v:1).
+// additionally advertises the server's admission queue depth and
+// overload retry hint, and overload refusals carry a retry_after_ms
+// hint. The query/ledger bodies are unchanged — a v1 client
+// interoperates with a v2 server (it simply never asks for the extended
+// meta), and a v2 client downgrades to v1 against a v1 server (an old
+// server ignores the ?v= parameter and answers with v:1).
 const (
 	V    = 1
 	V2   = 2
@@ -128,10 +128,10 @@ type QueryResponse struct {
 //
 // The trailing fields are v2 schema: GET /v1/meta?v=2 fills them, a v1
 // response omits them (Dial negotiates — Meta.V reports what the server
-// actually spoke). They describe the serving topology and overload
-// semantics: how many shards partition the answer cache and ledger, how
-// deep each shard's admission queue is, and how long a shed client
-// should back off before retrying.
+// actually spoke). They describe the overload semantics: how deep the
+// admission queue is and how long a shed client should back off before
+// retrying. Servers built before the field was dropped also send an
+// informational "shards" count, which decoding ignores.
 type Meta struct {
 	V        int      `json:"v"`
 	N        int      `json:"n"`
@@ -141,8 +141,7 @@ type Meta struct {
 	Budget   int      `json:"budget"`    // per-analyst fresh-query budget, 0 = unlimited
 	MaxBatch int      `json:"max_batch"` // largest accepted batch
 
-	Shards       int `json:"shards,omitempty"`         // v2: cache/ledger partitions
-	QueueDepth   int `json:"queue_depth,omitempty"`    // v2: per-shard admission queue bound
+	QueueDepth   int `json:"queue_depth,omitempty"`    // v2: admission queue bound
 	RetryAfterMs int `json:"retry_after_ms,omitempty"` // v2: suggested overload backoff
 }
 
