@@ -71,14 +71,15 @@ build:
 
 # ./internal/obs/... covers internal/obs/serve, whose SSE/scrape handlers
 # run concurrently with the instrumented experiments; ./internal/query/...
-# covers query/remote (the HTTP query service + client) and ./cmd/qserver
-# the served binary's concurrent request handling. ./internal/diffix/...
-# and ./internal/recon/... are included because both fan attack workloads
-# out through internal/par worker pools (diffix averages noisy-query
-# replicates in parallel, recon runs its solver fan-out there), so their
-# tests exercise the pool's sharing discipline under real load.
+# covers query/remote (the HTTP query service + client), ./cmd/qserver
+# the served binary's concurrent request handling and ./cmd/loadgen
+# concurrent analysts against an in-process server. ./internal/diffix/...
+# is included because a Cloak may serve concurrent analysts (its
+# statistics counters are atomics), and ./internal/recon/... because its
+# decoders record into the process-wide obs registry that the served and
+# streamed attack paths share.
 race:
-	$(GO) test -race ./internal/par/... ./internal/pso/... ./internal/obs/... ./internal/query/... ./internal/census/... ./internal/diffix/... ./internal/recon/... ./cmd/qserver/...
+	$(GO) test -race ./internal/par/... ./internal/pso/... ./internal/obs/... ./internal/query/... ./internal/census/... ./internal/diffix/... ./internal/recon/... ./cmd/qserver/... ./cmd/loadgen/...
 
 test:
 	$(GO) test ./...

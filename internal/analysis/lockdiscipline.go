@@ -34,8 +34,8 @@ import (
 // enforces — and the WAL is a local file, not a network round-trip.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
-	Doc: "no second lock acquisition, network I/O, or blocking channel operation while a " +
-		"shard mutex is held; the WAL file append is the one allowlisted blocking call",
+	Doc: "no second lock acquisition, network I/O, or blocking channel operation while the " +
+		"answer-cache or ledger mutex is held; the WAL file append is the one allowlisted blocking call",
 	NeedsTypes: true,
 	Wants:      wantsLockedCode,
 	Run:        runLockDiscipline,
@@ -140,7 +140,7 @@ func checkLockDiscipline(pass *Pass, fb FuncBody) {
 			continue // unreachable
 		}
 		ldTransferBlock(pass, blk, sc, in[blk.Index].clone(), func(n ast.Node, held lockSet, what string) {
-			pass.Reportf(n.Pos(), "%s while %s is held in %s: shard critical sections must not block (wal.append is the only allowlisted blocking call)",
+			pass.Reportf(n.Pos(), "%s while %s is held in %s: answer-cache and ledger critical sections must not block (wal.append is the only allowlisted blocking call)",
 				what, heldNames(held), fb.Name)
 		})
 	}

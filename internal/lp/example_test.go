@@ -14,9 +14,9 @@ func ExampleSolve() {
 		NumVars:   2,
 		Objective: []float64{-3, -5},
 		Constraints: []lp.Constraint{
-			{Coeffs: []float64{1, 0}, Rel: lp.LE, RHS: 4},
-			{Coeffs: []float64{0, 2}, Rel: lp.LE, RHS: 12},
-			{Coeffs: []float64{3, 2}, Rel: lp.LE, RHS: 18},
+			{Vars: []int{0}, Coeffs: []float64{1}, RHS: 4},        // x ≤ 4
+			{Vars: []int{1}, Coeffs: []float64{2}, RHS: 12},       // 2y ≤ 12
+			{Vars: []int{0, 1}, Coeffs: []float64{3, 2}, RHS: 18}, // 3x + 2y ≤ 18
 		},
 	}
 	s, err := lp.Solve(context.Background(), p)

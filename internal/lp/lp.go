@@ -16,10 +16,11 @@
 //     over the same constraint matrix with a new RHS and/or objective
 //     restarts from it (dual simplex when only the RHS moved).
 //
-// Problems are stated as: minimize c·x subject to linear constraints with
-// relations ≤, =, ≥ and x ≥ 0. Callers needing free or upper-bounded
-// variables encode them with the usual transformations (the recon and
-// diffix packages do this).
+// Problems have one shape, the one LP decoding poses: minimize c·x over
+// x ≥ 0 subject to sparse rows Σ_k Coeffs[k]·x[Vars[k]] ≤ RHS. A ≥ row is
+// a negated ≤ row and an equality is a pair of opposite ≤ rows; an upper
+// bound x_j ≤ u is the one-entry row {Vars: [j], Coeffs: [1], RHS: u}.
+// Both engines poll the context before every pivot.
 package lp
 
 import (
@@ -31,44 +32,19 @@ import (
 	"singlingout/internal/obs"
 )
 
-// Rel is a constraint relation.
-type Rel int
-
-// Constraint relations.
-const (
-	LE Rel = iota // Σ a_j x_j ≤ b
-	GE            // Σ a_j x_j ≥ b
-	EQ            // Σ a_j x_j = b
-)
-
-// Constraint is one dense row of the constraint system.
+// Constraint is one sparse row Σ_k Coeffs[k]·x[Vars[k]] ≤ RHS. Vars
+// holds distinct variable indices; variables it omits have coefficient 0.
 type Constraint struct {
-	Coeffs []float64
-	Rel    Rel
+	Vars   []int
+	Coeffs []float64 // parallel to Vars
 	RHS    float64
 }
 
-// Problem is a minimization LP in inequality form with x ≥ 0.
+// Problem is a minimization LP over x ≥ 0 subject to ≤ rows.
 type Problem struct {
 	NumVars     int
 	Objective   []float64 // length NumVars; minimized
 	Constraints []Constraint
-
-	// Progress, when set, is invoked at every phase transition and every
-	// ProgressEvery pivots (default 4096) — the attacker-side iteration
-	// hook for long reconstructions. It must be cheap; it runs inside the
-	// pivot loop.
-	Progress func(Progress)
-	// ProgressEvery overrides the pivot interval between Progress calls.
-	ProgressEvery int
-}
-
-// Progress describes the simplex state at a progress callback.
-type Progress struct {
-	// Phase is 1 during the feasibility search, 2 during optimization.
-	Phase int
-	// Pivots is the total pivot count so far (both phases).
-	Pivots int
 }
 
 // Status describes the outcome of Solve.
@@ -154,13 +130,12 @@ const (
 
 // Solve runs the two-phase dense tableau simplex. It returns a Solution
 // whose Status is Optimal, Infeasible or Unbounded; X and Objective are
-// meaningful only for Optimal. The context is checked every
-// ProgressEvery pivots; cancellation aborts the solve with ctx.Err().
+// meaningful only for Optimal. The context is polled before every pivot;
+// cancellation aborts the solve with ctx.Err().
 //
-// Numerical contract: the solver internally relaxes each inequality by a
-// tiny anti-degeneracy perturbation, so the returned point may violate the
-// stated constraints by up to ~1e-5 (for problems with up to ~1000 rows);
-// equalities are not perturbed.
+// Numerical contract: the solver internally relaxes each row by a tiny
+// anti-degeneracy perturbation, so the returned point may violate the
+// stated constraints by up to ~1e-5 (for problems with up to ~1000 rows).
 func Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	if err := validate(p); err != nil {
 		return nil, err
@@ -170,11 +145,6 @@ func Solve(ctx context.Context, p *Problem) (*Solution, error) {
 	defer sp.End()
 	t := newTableau(p)
 	t.ctx = ctx
-	t.progress = p.Progress
-	t.progressEvery = p.ProgressEvery
-	if t.progressEvery <= 0 {
-		t.progressEvery = 4096
-	}
 	phase1Pivots := 0
 	defer func() {
 		mPivots.Add(int64(t.pivots))
@@ -186,11 +156,7 @@ func Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		return s
 	}
 	// Phase 1: minimize the sum of artificials to find a feasible basis.
-	t.phase = 1
 	if t.numArt > 0 {
-		if t.progress != nil {
-			t.progress(Progress{Phase: 1, Pivots: 0})
-		}
 		t.setPhase1Objective()
 		if err := t.iterate(true); err != nil {
 			return nil, err
@@ -213,10 +179,6 @@ func Solve(ctx context.Context, p *Problem) (*Solution, error) {
 		}
 	}
 	// Phase 2: original objective.
-	t.phase = 2
-	if t.progress != nil {
-		t.progress(Progress{Phase: 2, Pivots: t.pivots})
-	}
 	t.setPhase2Objective(p.Objective)
 	if err := t.iterate(false); err != nil {
 		if errors.Is(err, errUnbounded) {
@@ -245,9 +207,19 @@ func validate(p *Problem) error {
 	if len(p.Objective) != p.NumVars {
 		return fmt.Errorf("lp: objective length %d != NumVars %d", len(p.Objective), p.NumVars)
 	}
+	lastRow := make([]int, p.NumVars) // 1 + the last row naming each variable
 	for i, c := range p.Constraints {
-		if len(c.Coeffs) != p.NumVars {
-			return fmt.Errorf("lp: constraint %d width %d != NumVars %d", i, len(c.Coeffs), p.NumVars)
+		if len(c.Vars) != len(c.Coeffs) {
+			return fmt.Errorf("lp: constraint %d has %d vars but %d coefficients", i, len(c.Vars), len(c.Coeffs))
+		}
+		for _, j := range c.Vars {
+			if j < 0 || j >= p.NumVars {
+				return fmt.Errorf("lp: constraint %d variable %d outside [0, %d)", i, j, p.NumVars)
+			}
+			if lastRow[j] == i+1 {
+				return fmt.Errorf("lp: constraint %d repeats variable %d", i, j)
+			}
+			lastRow[j] = i + 1
 		}
 	}
 	return nil
@@ -257,109 +229,66 @@ var errUnbounded = errors.New("lp: unbounded")
 
 // tableau is the dense simplex tableau. Rows 0..m-1 are constraints; row m
 // is the objective row. Columns 0..total-1 are variables (structural,
-// then slack/surplus, then artificial); column total is the RHS.
+// then one slack or surplus per row, then artificial); column total is the
+// RHS.
 type tableau struct {
-	m, nStruct, numSlack, numArt int
-	total                        int // structural + slack + artificial columns
-	a                            [][]float64
-	basis                        []int
-	artStart                     int // first artificial column
-	pivots                       int
-	phase                        int
-	ctx                          context.Context
-	progress                     func(Progress)
-	progressEvery                int
+	m, numArt int
+	total     int // structural + slack + artificial columns
+	a         [][]float64
+	basis     []int
+	artStart  int // first artificial column
+	pivots    int
+	ctx       context.Context
 }
 
 func newTableau(p *Problem) *tableau {
 	m := len(p.Constraints)
-	// Count slack/surplus and artificial columns.
-	numSlack, numArt := 0, 0
+	numArt := 0
 	for _, c := range p.Constraints {
-		rel, rhs := c.Rel, c.RHS
-		if rhs < 0 { // row will be negated
-			rel = flip(rel)
-		}
-		switch rel {
-		case LE:
-			numSlack++
-		case GE:
-			numSlack++ // surplus
-			numArt++
-		case EQ:
+		if c.RHS < 0 {
 			numArt++
 		}
 	}
 	t := &tableau{
 		m:        m,
-		nStruct:  p.NumVars,
-		numSlack: numSlack,
 		numArt:   numArt,
-		total:    p.NumVars + numSlack + numArt,
+		total:    p.NumVars + m + numArt,
 		basis:    make([]int, m),
+		artStart: p.NumVars + m,
 	}
-	t.artStart = p.NumVars + numSlack
 	t.a = make([][]float64, m+1)
 	for r := range t.a {
 		t.a[r] = make([]float64, t.total+1)
 	}
-	slackCol := p.NumVars
 	artCol := t.artStart
 	for r, c := range p.Constraints {
+		row := t.a[r]
+		slackCol := p.NumVars + r
 		sign := 1.0
-		rel := c.Rel
+		t.basis[r] = slackCol
 		if c.RHS < 0 {
+			// The row is negated so the RHS column starts nonnegative: its
+			// slack becomes a surplus and an artificial is its starting
+			// basic variable.
 			sign = -1
-			rel = flip(rel)
+			row[artCol] = 1
+			t.basis[r] = artCol
+			artCol++
 		}
-		for j, v := range c.Coeffs {
-			t.a[r][j] = sign * v
+		for k, j := range c.Vars {
+			row[j] = sign * c.Coeffs[k]
 		}
+		row[slackCol] = sign
 		// ε-perturbation: strictly increasing tiny offsets keep basic
-		// solutions nondegenerate, preventing simplex stalling/cycling.
-		// Only the relaxing direction is used (LE rows gain slack, GE rows
-		// lose requirement, EQ rows are untouched) so the perturbed
-		// feasible region contains the original one.
-		delta := perturb * float64(r+1)
-		t.a[r][t.total] = sign * c.RHS
-		switch rel {
-		case LE:
-			t.a[r][t.total] += delta
-		case GE:
-			t.a[r][t.total] -= delta
-			if t.a[r][t.total] < 0 {
-				t.a[r][t.total] = 0
-			}
-		}
-		switch rel {
-		case LE:
-			t.a[r][slackCol] = 1
-			t.basis[r] = slackCol
-			slackCol++
-		case GE:
-			t.a[r][slackCol] = -1
-			slackCol++
-			t.a[r][artCol] = 1
-			t.basis[r] = artCol
-			artCol++
-		case EQ:
-			t.a[r][artCol] = 1
-			t.basis[r] = artCol
-			artCol++
+		// solutions nondegenerate, preventing simplex stalling/cycling. The
+		// RHS only grows, so the perturbed feasible region contains the
+		// original one.
+		row[t.total] = sign * (c.RHS + perturb*float64(r+1))
+		if row[t.total] < 0 {
+			row[t.total] = 0
 		}
 	}
 	return t
-}
-
-func flip(r Rel) Rel {
-	switch r {
-	case LE:
-		return GE
-	case GE:
-		return LE
-	default:
-		return EQ
-	}
 }
 
 func (t *tableau) rhs(r int) float64 { return t.a[r][t.total] }
@@ -425,13 +354,10 @@ func (t *tableau) isBasic(col int) bool {
 func (t *tableau) iterate(phase1 bool) error {
 	maxIter := 20000 + 50*(t.m+t.total)
 	for iter := 0; iter < maxIter; iter++ {
-		// Cancellation check at the progress cadence: a degenerate
-		// multi-second solve must honor the ctx threaded through every
-		// harness, not just return eventually.
-		if t.pivots%t.progressEvery == 0 {
-			if err := t.ctx.Err(); err != nil {
-				return err
-			}
+		// A degenerate multi-second solve must honor the ctx threaded
+		// through every harness, not just return eventually.
+		if err := t.ctx.Err(); err != nil {
+			return err
 		}
 		col := t.chooseEntering()
 		if col < 0 {
@@ -509,9 +435,6 @@ func (t *tableau) chooseLeaving(col int) int {
 
 func (t *tableau) pivot(row, col int) {
 	t.pivots++
-	if t.progress != nil && t.pivots%t.progressEvery == 0 {
-		t.progress(Progress{Phase: t.phase, Pivots: t.pivots})
-	}
 	piv := t.a[row][col]
 	invPiv := 1 / piv
 	rowData := t.a[row]

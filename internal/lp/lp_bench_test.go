@@ -28,13 +28,11 @@ func reconLP(rng *rand.Rand, n int) *Problem {
 		up[n+k] = -1
 		lo[n+k] = -1
 		p.Constraints = append(p.Constraints,
-			Constraint{Coeffs: up, Rel: LE, RHS: sum + rng.Float64()},
-			Constraint{Coeffs: lo, Rel: LE, RHS: -sum + rng.Float64()})
+			dense(up, sum+rng.Float64()),
+			dense(lo, -sum+rng.Float64()))
 	}
 	for i := 0; i < n; i++ {
-		row := make([]float64, nv)
-		row[i] = 1
-		p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: LE, RHS: 1})
+		p.Constraints = append(p.Constraints, Constraint{Vars: []int{i}, Coeffs: []float64{1}, RHS: 1})
 	}
 	return p
 }

@@ -22,6 +22,28 @@ func solveOK(t *testing.T, p *Problem) *Solution {
 	return s
 }
 
+// dense builds the row coeffs·x ≤ rhs from a dense coefficient slice,
+// keeping its nonzero entries.
+func dense(coeffs []float64, rhs float64) Constraint {
+	c := Constraint{RHS: rhs}
+	for j, v := range coeffs {
+		if v != 0 {
+			c.Vars = append(c.Vars, j)
+			c.Coeffs = append(c.Coeffs, v)
+		}
+	}
+	return c
+}
+
+// lhs evaluates the left-hand side of row c at x.
+func lhs(c Constraint, x []float64) float64 {
+	v := 0.0
+	for k, j := range c.Vars {
+		v += c.Coeffs[k] * x[j]
+	}
+	return v
+}
+
 // checkFeasible verifies x ≥ 0 and all constraints within the documented
 // feasibility slack of Solve.
 func checkFeasible(t *testing.T, p *Problem, x []float64) {
@@ -33,23 +55,8 @@ func checkFeasible(t *testing.T, p *Problem, x []float64) {
 		}
 	}
 	for i, c := range p.Constraints {
-		lhs := 0.0
-		for j, a := range c.Coeffs {
-			lhs += a * x[j]
-		}
-		switch c.Rel {
-		case LE:
-			if lhs > c.RHS+eps {
-				t.Fatalf("constraint %d violated: %v > %v", i, lhs, c.RHS)
-			}
-		case GE:
-			if lhs < c.RHS-eps {
-				t.Fatalf("constraint %d violated: %v < %v", i, lhs, c.RHS)
-			}
-		case EQ:
-			if math.Abs(lhs-c.RHS) > eps {
-				t.Fatalf("constraint %d violated: %v != %v", i, lhs, c.RHS)
-			}
+		if v := lhs(c, x); v > c.RHS+eps {
+			t.Fatalf("constraint %d violated: %v > %v", i, v, c.RHS)
 		}
 	}
 }
@@ -60,9 +67,9 @@ func TestTextbookLP(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{-3, -5},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 4},
-			{Coeffs: []float64{0, 2}, Rel: LE, RHS: 12},
-			{Coeffs: []float64{3, 2}, Rel: LE, RHS: 18},
+			dense([]float64{1, 0}, 4),
+			dense([]float64{0, 2}, 12),
+			dense([]float64{3, 2}, 18),
 		},
 	}
 	s := solveOK(t, p)
@@ -75,14 +82,16 @@ func TestTextbookLP(t *testing.T) {
 }
 
 func TestEqualityAndGE(t *testing.T) {
-	// min x + y s.t. x + y = 10, x >= 3, y >= 2 → objective 10.
+	// min x + y s.t. x + y = 10, x >= 3, y >= 2 → objective 10. The
+	// equality is a pair of opposite ≤ rows and each ≥ row is negated.
 	p := &Problem{
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 10},
-			{Coeffs: []float64{1, 0}, Rel: GE, RHS: 3},
-			{Coeffs: []float64{0, 1}, Rel: GE, RHS: 2},
+			dense([]float64{1, 1}, 10),
+			dense([]float64{-1, -1}, -10),
+			dense([]float64{-1, 0}, -3),
+			dense([]float64{0, -1}, -2),
 		},
 	}
 	s := solveOK(t, p)
@@ -97,7 +106,7 @@ func TestNegativeRHS(t *testing.T) {
 		NumVars:   1,
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{-1}, Rel: LE, RHS: -5},
+			dense([]float64{-1}, -5),
 		},
 	}
 	s := solveOK(t, p)
@@ -111,8 +120,8 @@ func TestInfeasible(t *testing.T) {
 		NumVars:   1,
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Rel: LE, RHS: 1},
-			{Coeffs: []float64{1}, Rel: GE, RHS: 2},
+			dense([]float64{1}, 1),
+			dense([]float64{-1}, -2), // x >= 2
 		},
 	}
 	s, err := Solve(ctx, p)
@@ -130,7 +139,7 @@ func TestUnbounded(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{-1, 0},
 		Constraints: []Constraint{
-			{Coeffs: []float64{0, 1}, Rel: LE, RHS: 1},
+			dense([]float64{0, 1}, 1),
 		},
 	}
 	s, err := Solve(ctx, p)
@@ -148,9 +157,9 @@ func TestDegenerateLP(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{-1, -1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 0},
-			{Coeffs: []float64{2, 0}, Rel: LE, RHS: 0},
-			{Coeffs: []float64{1, 1}, Rel: LE, RHS: 3},
+			dense([]float64{1, 0}, 0),
+			dense([]float64{2, 0}, 0),
+			dense([]float64{1, 1}, 3),
 		},
 	}
 	s := solveOK(t, p)
@@ -160,15 +169,17 @@ func TestDegenerateLP(t *testing.T) {
 }
 
 func TestRedundantEquality(t *testing.T) {
-	// Duplicate equality rows leave a zero-level artificial basic; the
-	// solver must still find the optimum.
+	// A duplicated equality x + y = 4, each copy written as two opposite ≤
+	// rows: the solver must still find the optimum of the redundant system.
 	p := &Problem{
 		NumVars:   2,
 		Objective: []float64{1, 2},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 4},
-			{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 4},
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 3},
+			dense([]float64{1, 1}, 4),
+			dense([]float64{-1, -1}, -4),
+			dense([]float64{1, 1}, 4),
+			dense([]float64{-1, -1}, -4),
+			dense([]float64{1, 0}, 3),
 		},
 	}
 	s := solveOK(t, p)
@@ -185,10 +196,20 @@ func TestValidation(t *testing.T) {
 	if _, err := Solve(ctx, &Problem{NumVars: 2, Objective: []float64{1}}); err == nil {
 		t.Error("objective width mismatch should fail")
 	}
-	p := &Problem{NumVars: 2, Objective: []float64{1, 1},
-		Constraints: []Constraint{{Coeffs: []float64{1}, Rel: LE, RHS: 1}}}
-	if _, err := Solve(ctx, p); err == nil {
-		t.Error("constraint width mismatch should fail")
+	for name, c := range map[string]Constraint{
+		"length mismatch": {Vars: []int{0, 1}, Coeffs: []float64{1}, RHS: 1},
+		"negative index":  {Vars: []int{-1}, Coeffs: []float64{1}, RHS: 1},
+		"index past end":  {Vars: []int{2}, Coeffs: []float64{1}, RHS: 1},
+		"repeated index":  {Vars: []int{1, 0, 1}, Coeffs: []float64{1, 1, 1}, RHS: 1},
+	} {
+		p := &Problem{NumVars: 2, Objective: []float64{1, 1},
+			Constraints: []Constraint{dense([]float64{1, 1}, 3), c}}
+		if _, err := Solve(ctx, p); err == nil {
+			t.Errorf("%s: Solve should fail", name)
+		}
+		if _, err := Revised(ctx, p, nil); err == nil {
+			t.Errorf("%s: Revised should fail", name)
+		}
 	}
 }
 
@@ -231,19 +252,17 @@ func TestL1Regression(t *testing.T) {
 		up := make([]float64, nv)
 		copy(up, row)
 		up[n+k] = -1
-		cons = append(cons, Constraint{Coeffs: up, Rel: LE, RHS: a})
+		cons = append(cons, dense(up, a))
 		lo := make([]float64, nv)
 		for i := 0; i < n; i++ {
 			lo[i] = -row[i]
 		}
 		lo[n+k] = -1
-		cons = append(cons, Constraint{Coeffs: lo, Rel: LE, RHS: -a})
+		cons = append(cons, dense(lo, -a))
 	}
 	// x_i <= 1.
 	for i := 0; i < n; i++ {
-		row := make([]float64, nv)
-		row[i] = 1
-		cons = append(cons, Constraint{Coeffs: row, Rel: LE, RHS: 1})
+		cons = append(cons, Constraint{Vars: []int{i}, Coeffs: []float64{1}, RHS: 1})
 	}
 	s := solveOK(t, &Problem{NumVars: nv, Objective: obj, Constraints: cons})
 	// Rounding the LP solution should recover most of the truth.
@@ -279,13 +298,11 @@ func TestRandomLPsAgainstFeasiblePoints(t *testing.T) {
 			for j := range row {
 				row[j] = math.Abs(rng.NormFloat64()) // nonneg coeffs keep it bounded
 			}
-			p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: LE, RHS: 1 + rng.Float64()*5})
+			p.Constraints = append(p.Constraints, dense(row, 1+rng.Float64()*5))
 		}
 		// Make the problem bounded even for negative objective entries.
 		for j := 0; j < n; j++ {
-			row := make([]float64, n)
-			row[j] = 1
-			p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: LE, RHS: 10})
+			p.Constraints = append(p.Constraints, Constraint{Vars: []int{j}, Coeffs: []float64{1}, RHS: 10})
 		}
 		s, err := Solve(ctx, p)
 		if err != nil {
@@ -303,11 +320,7 @@ func TestRandomLPsAgainstFeasiblePoints(t *testing.T) {
 			}
 			feasible := true
 			for _, c := range p.Constraints {
-				lhs := 0.0
-				for j, a := range c.Coeffs {
-					lhs += a * x[j]
-				}
-				if lhs > c.RHS {
+				if lhs(c, x) > c.RHS {
 					feasible = false
 					break
 				}
@@ -335,43 +348,24 @@ func TestZeroConstraintLP(t *testing.T) {
 	}
 }
 
-// TestSolutionPivotsAndProgress checks the solver reports its pivot counts
-// and drives the Progress hook through both phases.
-func TestSolutionPivotsAndProgress(t *testing.T) {
-	// A problem with GE rows forces a genuine phase 1.
+// TestSolutionPivots checks the solver reports its pivot counts, with
+// the feasibility search's share in Phase1Pivots.
+func TestSolutionPivots(t *testing.T) {
+	// Negated ≥ rows (negative RHS) force a genuine phase 1.
 	p := &Problem{
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Rel: GE, RHS: 1},
-			{Coeffs: []float64{0, 1}, Rel: GE, RHS: 2},
-			{Coeffs: []float64{1, 1}, Rel: LE, RHS: 10},
+			dense([]float64{-1, 0}, -1),
+			dense([]float64{0, -1}, -2),
+			dense([]float64{1, 1}, 10),
 		},
-		ProgressEvery: 1,
 	}
-	var events []Progress
-	p.Progress = func(pr Progress) { events = append(events, pr) }
 	s := solveOK(t, p)
 	if s.Pivots <= 0 {
 		t.Errorf("Pivots = %d, want positive", s.Pivots)
 	}
 	if s.Phase1Pivots <= 0 || s.Phase1Pivots > s.Pivots {
 		t.Errorf("Phase1Pivots = %d out of range (total %d)", s.Phase1Pivots, s.Pivots)
-	}
-	if len(events) == 0 {
-		t.Fatal("Progress hook never invoked")
-	}
-	sawPhase := map[int]bool{}
-	lastPivots := -1
-	for _, e := range events {
-		sawPhase[e.Phase] = true
-		if e.Pivots < lastPivots {
-			t.Errorf("pivot count went backwards: %v", events)
-			break
-		}
-		lastPivots = e.Pivots
-	}
-	if !sawPhase[1] || !sawPhase[2] {
-		t.Errorf("expected progress from both phases, saw %v", sawPhase)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"singlingout/internal/par"
 )
 
 // TestChooseLeavingTieChainDense is the regression test for the ratio-test
@@ -43,88 +45,115 @@ func TestChooseLeavingTieChainRevised(t *testing.T) {
 	}
 }
 
-// driveOutProblem ends phase 1 with a zero-level artificial still basic
-// (the EQ row -x = 0 prices x at +1 under the phase-1 objective, so
-// regular phase-1 pivoting never touches it) whose row has a pivotable
-// entry: driving it out takes exactly one pivot after phase-1 optimality.
+// driveOutProblem is a ≤-only LP whose crash basis holds an artificial at
+// (numerically) zero level in both engines. Row 0, x ≤ -1.05·perturb, has
+// a negative RHS, so each engine starts it on its artificial; after the
+// row's ε-relaxation of perturb the artificial's level is 0.05·perturb —
+// below both engines' phase-1 tolerances. x has the wrong sign to enter
+// under the phase-1 objective, so phase 1 is optimal at once with the
+// artificial still basic, and driving it out takes exactly one pivot.
 func driveOutProblem() *Problem {
 	return &Problem{
 		NumVars:   2,
 		Objective: []float64{0, -1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{-1, 0}, Rel: EQ, RHS: 0},
-			{Coeffs: []float64{1, 1}, Rel: LE, RHS: 2},
+			{Vars: []int{0}, Coeffs: []float64{1}, RHS: -1.05 * perturb},
+			{Vars: []int{0, 1}, Coeffs: []float64{1, 1}, RHS: 2},
 		},
 	}
 }
 
 // TestDriveOutPivotAccounting is the regression test for the pivot
 // accounting bug: pivots spent driving artificials out of the basis after
-// phase-1 optimality must be attributed to phase 1 and reported through
-// the Progress hook, not silently lumped into neither phase.
+// phase-1 optimality must be attributed to phase 1, not silently lumped
+// into neither phase. Each subtest first checks that the engine's crash
+// basis holds row 0's artificial at zero level, then that the solve makes
+// the one drive-out pivot and counts it in Phase1Pivots.
 func TestDriveOutPivotAccounting(t *testing.T) {
+	p := driveOutProblem()
+	check := func(t *testing.T, s *Solution, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Status != Optimal {
+			t.Fatalf("status = %v", s.Status)
+		}
+		if math.Abs(s.Objective+2) > 1e-6 {
+			t.Errorf("objective = %v, want -2", s.Objective)
+		}
+		if s.Phase1Pivots != 1 {
+			t.Errorf("Phase1Pivots = %d, want 1: drive-out pivot not made or not attributed to phase 1", s.Phase1Pivots)
+		}
+		if s.Pivots <= s.Phase1Pivots {
+			t.Errorf("Pivots = %d, want phase-2 pivots beyond the %d of phase 1", s.Pivots, s.Phase1Pivots)
+		}
+	}
+	t.Run("dense", func(t *testing.T) {
+		tab := newTableau(p)
+		if tab.basis[0] < tab.artStart || math.Abs(tab.rhs(0)) > tol {
+			t.Fatalf("crash basis: row 0 holds column %d at %v, want an artificial at zero", tab.basis[0], tab.rhs(0))
+		}
+		s, err := Solve(ctx, p)
+		check(t, s, err)
+	})
+	t.Run("revised", func(t *testing.T) {
+		if b := buildStandard(p).b[0]; b >= 0 || -b > feasTol {
+			t.Fatalf("crash basis: row 0 RHS %v, want an artificial at zero", b)
+		}
+		s, err := Revised(ctx, p, nil)
+		check(t, s, err)
+	})
+}
+
+// pollCtx is a context whose Err reports cancellation from its k+1-th
+// poll on, so a solve sees it only after k polls have passed.
+type pollCtx struct {
+	context.Context
+	k, polls int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls > c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSolveCancellation: both engines must honor context cancellation
+// mid-solve, polling the context before every pivot instead of running a
+// degenerate solve to the end.
+func TestSolveCancellation(t *testing.T) {
+	p := reconLP(par.RNG(5, 0), 8)
 	for _, eng := range []struct {
 		name  string
-		solve func(p *Problem) (*Solution, error)
+		solve func(context.Context) (*Solution, error)
 	}{
-		{"dense", func(p *Problem) (*Solution, error) { return Solve(ctx, p) }},
-		{"revised", func(p *Problem) (*Solution, error) { return Revised(ctx, p, nil) }},
+		{"dense", func(c context.Context) (*Solution, error) { return Solve(c, p) }},
+		{"revised", func(c context.Context) (*Solution, error) { return Revised(c, p, nil) }},
 	} {
 		t.Run(eng.name, func(t *testing.T) {
-			p := driveOutProblem()
-			p.ProgressEvery = 1
-			var phase1Events int
-			p.Progress = func(pr Progress) {
-				if pr.Phase == 1 && pr.Pivots > 0 {
-					phase1Events++
-				}
-			}
-			s, err := eng.solve(p)
+			full, err := eng.solve(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.Status != Optimal {
-				t.Fatalf("status = %v", s.Status)
+			const k = 5
+			if full.Pivots <= 2*k {
+				t.Fatalf("uncancelled solve took %d pivots; need more than %d to cancel mid-solve", full.Pivots, 2*k)
 			}
-			if math.Abs(s.Objective+2) > 1e-6 {
-				t.Errorf("objective = %v, want -2", s.Objective)
-			}
-			if s.Phase1Pivots < 1 {
-				t.Errorf("Phase1Pivots = %d, want >= 1: drive-out pivot not attributed to phase 1", s.Phase1Pivots)
-			}
-			if phase1Events < s.Phase1Pivots {
-				t.Errorf("saw %d phase-1 progress events for %d phase-1 pivots: drive-out pivots not reported",
-					phase1Events, s.Phase1Pivots)
+			for _, c := range []*pollCtx{{Context: ctx, k: 0}, {Context: ctx, k: k}} {
+				s, err := eng.solve(c)
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("cancel after %d polls: err = %v, want context.Canceled", c.k, err)
+				}
+				if s != nil {
+					t.Errorf("cancel after %d polls: got a solution with status %v", c.k, s.Status)
+				}
+				if c.polls != c.k+1 {
+					t.Errorf("cancel after %d polls: polled %d times, want the solve to stop at the first canceled poll", c.k, c.polls)
+				}
 			}
 		})
-	}
-}
-
-// TestSolveCancellation: both engines must honor context cancellation at
-// the progress cadence instead of running a degenerate solve to the end.
-func TestSolveCancellation(t *testing.T) {
-	p := &Problem{
-		NumVars:   2,
-		Objective: []float64{-3, -5},
-		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 4},
-			{Coeffs: []float64{0, 2}, Rel: LE, RHS: 12},
-			{Coeffs: []float64{3, 2}, Rel: LE, RHS: 18},
-		},
-		ProgressEvery: 1,
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Solve(cancelled, p); !errors.Is(err, context.Canceled) {
-		t.Errorf("dense: err = %v, want context.Canceled", err)
-	}
-	if _, err := Revised(cancelled, p, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("revised: err = %v, want context.Canceled", err)
-	}
-	// Cancellation mid-solve: cancel from the progress hook.
-	mid, cancelMid := context.WithCancel(context.Background())
-	p.Progress = func(Progress) { cancelMid() }
-	if _, err := Solve(mid, p); !errors.Is(err, context.Canceled) {
-		t.Errorf("dense mid-solve: err = %v, want context.Canceled", err)
 	}
 }

@@ -20,8 +20,8 @@ var ErrSingularBasis = errors.New("lp: numerically singular basis")
 // Basis is an opaque warm-start handle: the basic column set at the end
 // of a Revised solve, tied by signature to the constraint matrix it was
 // produced on. Pass it to a later Revised call over the same constraint
-// matrix — same coefficients and relations; the RHS and objective may
-// differ — to start from that basis instead of from scratch.
+// matrix — same rows and coefficients; the RHS and objective may differ —
+// to start from that basis instead of from scratch.
 type Basis struct {
 	sig  uint64
 	m    int
@@ -66,13 +66,10 @@ type revised struct {
 	pivots       int
 	phase1Pivots int
 	dualPivots   int
-	phase        int
 	warm         bool
 
-	ctx           context.Context
-	progress      func(Progress)
-	progressEvery int
-	pricePos      int // partial-pricing cursor
+	ctx      context.Context
+	pricePos int // partial-pricing cursor
 
 	// Scratch (reused across iterations).
 	rowScratch []float64 // row-indexed FTRAN/BTRAN input
@@ -98,7 +95,7 @@ type revised struct {
 // start; a basis from a *different* matrix is an ErrBasisMismatch error.
 //
 // The returned Solution carries the final Basis for Optimal solves. The
-// context is checked every ProgressEvery pivots.
+// context is polled before every pivot.
 func Revised(ctx context.Context, p *Problem, warm *Basis) (*Solution, error) {
 	if err := validate(p); err != nil {
 		return nil, err
@@ -131,26 +128,21 @@ func Revised(ctx context.Context, p *Problem, warm *Basis) (*Solution, error) {
 func newRevised(ctx context.Context, p *Problem, sf *standard) *revised {
 	m := sf.m
 	e := &revised{
-		p:             p,
-		sf:            sf,
-		m:             m,
-		artSign:       make([]float64, m),
-		artCols:       make([]spCol, m),
-		cost:          make([]float64, sf.nCols+m),
-		basis:         make([]int, m),
-		posOf:         make([]int, sf.nCols+m),
-		xB:            make([]float64, m),
-		lu:            newLU(m),
-		ctx:           ctx,
-		progress:      p.Progress,
-		progressEvery: p.ProgressEvery,
-		rowScratch:    make([]float64, m),
-		posScratch:    make([]float64, m),
-		d:             make([]float64, m),
-		y:             make([]float64, m),
-	}
-	if e.progressEvery <= 0 {
-		e.progressEvery = 4096
+		p:          p,
+		sf:         sf,
+		m:          m,
+		artSign:    make([]float64, m),
+		artCols:    make([]spCol, m),
+		cost:       make([]float64, sf.nCols+m),
+		basis:      make([]int, m),
+		posOf:      make([]int, sf.nCols+m),
+		xB:         make([]float64, m),
+		lu:         newLU(m),
+		ctx:        ctx,
+		rowScratch: make([]float64, m),
+		posScratch: make([]float64, m),
+		d:          make([]float64, m),
+		y:          make([]float64, m),
 	}
 	for r := 0; r < m; r++ {
 		s := 1.0
@@ -191,19 +183,14 @@ func (e *revised) resetBasis() {
 }
 
 // colFor returns the sparse entries of column id j (artificials live past
-// sf.nCols).
+// sf.nCols). Only columns below sf.nCols — structural and slack — may
+// enter the basis; artificial columns never (re-)enter.
 func (e *revised) colFor(j int) ([]int32, []float64) {
 	if j < e.sf.nCols {
 		return e.sf.cols[j].rows, e.sf.cols[j].vals
 	}
 	c := &e.artCols[j-e.sf.nCols]
 	return c.rows, c.vals
-}
-
-// allowed reports whether column j may enter the basis: structural and
-// row-variable columns only — artificial columns never (re-)enter.
-func (e *revised) allowed(j int) bool {
-	return j < e.sf.nCols && e.sf.active[j]
 }
 
 func (e *revised) redCost(j int, y []float64) float64 {
@@ -263,14 +250,6 @@ func (e *revised) ftranCol(q int) {
 	e.lu.ftran(e.rowScratch, e.d)
 }
 
-// checkCtx enforces the cancellation contract at the progress cadence.
-func (e *revised) checkCtx() error {
-	if e.pivots%e.progressEvery == 0 {
-		return e.ctx.Err()
-	}
-	return nil
-}
-
 // doPivot applies the basis exchange: entering column q replaces the
 // column at basis position r; the entering variable takes value theta.
 // e.d must hold B⁻¹A_q.
@@ -285,9 +264,6 @@ func (e *revised) doPivot(q, r int, theta float64) error {
 	e.basis[r] = q
 	e.posOf[q] = r
 	e.pivots++
-	if e.progress != nil && e.pivots%e.progressEvery == 0 {
-		e.progress(Progress{Phase: e.phase, Pivots: e.pivots})
-	}
 	if len(e.lu.etas) >= refactorEvery || !e.lu.appendEta(r, e.d) {
 		return e.refactor()
 	}
@@ -301,7 +277,7 @@ func (e *revised) chooseEnteringPrimal() int {
 	total := e.sf.nCols
 	if e.pivots >= blandAfter {
 		for j := 0; j < total; j++ {
-			if e.allowed(j) && e.posOf[j] < 0 && e.redCost(j, e.y) < -tol {
+			if e.posOf[j] < 0 && e.redCost(j, e.y) < -tol {
 				return j
 			}
 		}
@@ -320,7 +296,7 @@ func (e *revised) chooseEnteringPrimal() int {
 				e.pricePos = 0
 			}
 			scanned++
-			if !e.allowed(j) || e.posOf[j] >= 0 {
+			if e.posOf[j] >= 0 {
 				continue
 			}
 			if v := e.redCost(j, e.y); v < bestVal {
@@ -376,7 +352,7 @@ func (e *revised) chooseLeavingPrimal() (int, float64) {
 func (e *revised) primal(phase1 bool) error {
 	maxIter := 20000 + 50*(e.m+e.sf.nCols)
 	for iter := 0; iter < maxIter; iter++ {
-		if err := e.checkCtx(); err != nil {
+		if err := e.ctx.Err(); err != nil {
 			return err
 		}
 		e.btranCost()
@@ -412,15 +388,15 @@ func (e *revised) driveOutArtificials() (bool, error) {
 		if math.Abs(e.xB[pos]) > feasTol {
 			return false, nil
 		}
-		// ρ = Bᵀ⁻¹ e_pos; any allowed nonbasic column with ρ·A_j ≠ 0 can
-		// replace the artificial in a zero-length pivot.
+		// ρ = Bᵀ⁻¹ e_pos; any nonbasic structural or slack column with
+		// ρ·A_j ≠ 0 can replace the artificial in a zero-length pivot.
 		for i := range e.posScratch {
 			e.posScratch[i] = 0
 		}
 		e.posScratch[pos] = 1
 		e.lu.btran(e.posScratch, e.y)
 		for j := 0; j < e.sf.nCols; j++ {
-			if !e.allowed(j) || e.posOf[j] >= 0 {
+			if e.posOf[j] >= 0 {
 				continue
 			}
 			alpha := 0.0
@@ -444,23 +420,17 @@ func (e *revised) driveOutArtificials() (bool, error) {
 	return true, nil
 }
 
-// coldPath is the two-phase solve from the crash basis (slack/surplus
-// where feasible at x=0, artificials elsewhere).
+// coldPath is the two-phase solve from the crash basis (the slack where
+// the row holds at x=0, the artificial elsewhere).
 func (e *revised) coldPath() (*Solution, error) {
 	numArt := 0
 	for r := 0; r < e.m; r++ {
-		rv := e.sf.nStruct + r
-		b := e.sf.b[r]
-		switch {
-		case e.sf.rel[r] == LE && b >= 0:
-			e.basis[r] = rv
+		if b := e.sf.b[r]; b >= 0 {
+			e.basis[r] = e.sf.nStruct + r
 			e.xB[r] = b
-		case e.sf.rel[r] == GE && b <= 0:
-			e.basis[r] = rv
-			e.xB[r] = -b
-		default:
+		} else {
 			e.basis[r] = e.sf.nCols + r
-			e.xB[r] = math.Abs(b)
+			e.xB[r] = -b
 			numArt++
 		}
 		e.posOf[e.basis[r]] = r
@@ -469,10 +439,6 @@ func (e *revised) coldPath() (*Solution, error) {
 		return nil, err
 	}
 	if numArt > 0 {
-		e.phase = 1
-		if e.progress != nil {
-			e.progress(Progress{Phase: 1, Pivots: e.pivots})
-		}
 		e.setPhase1Cost()
 		if err := e.primal(true); err != nil {
 			return nil, err
@@ -498,10 +464,6 @@ func (e *revised) coldPath() (*Solution, error) {
 			return &Solution{Status: Infeasible}, nil
 		}
 	}
-	e.phase = 2
-	if e.progress != nil {
-		e.progress(Progress{Phase: 2, Pivots: e.pivots})
-	}
 	e.setPhase2Cost()
 	if err := e.primal(false); err != nil {
 		if errors.Is(err, errUnbounded) {
@@ -521,8 +483,8 @@ func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
 		return nil, false, fmt.Errorf("%w: basis has %d columns for %d rows", ErrBasisMismatch, len(warm.cols), e.m)
 	}
 	for _, j := range warm.cols {
-		if j < 0 || j >= e.sf.nCols || !e.sf.active[j] || e.posOf[j] >= 0 {
-			// Artificial, inactive or duplicated column: not reusable.
+		if j < 0 || j >= e.sf.nCols || e.posOf[j] >= 0 {
+			// Artificial or duplicated column: not reusable.
 			for k := range e.posOf {
 				e.posOf[k] = -1
 			}
@@ -541,7 +503,6 @@ func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
 		return nil, false, err
 	}
 	e.setPhase2Cost()
-	e.phase = 2
 	primalFeasible := true
 	for _, v := range e.xB {
 		if v < -feasTol {
@@ -555,15 +516,12 @@ func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
 		// simplex instead of rerunning phase 1.
 		e.refreshDualD()
 		for j := 0; j < e.sf.nCols; j++ {
-			if e.allowed(j) && e.posOf[j] < 0 && e.dualD[j] < -feasTol {
+			if e.posOf[j] < 0 && e.dualD[j] < -feasTol {
 				return nil, false, nil // neither primal nor dual feasible
 			}
 		}
 		mWarmStarts.Add(1)
 		e.warm = true
-		if e.progress != nil {
-			e.progress(Progress{Phase: 2, Pivots: e.pivots})
-		}
 		sol, err := e.dual()
 		if sol != nil || err != nil {
 			return sol, true, err
@@ -571,9 +529,6 @@ func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
 	} else {
 		mWarmStarts.Add(1)
 		e.warm = true
-		if e.progress != nil {
-			e.progress(Progress{Phase: 2, Pivots: e.pivots})
-		}
 	}
 	for i, v := range e.xB {
 		if v < 0 {
@@ -599,7 +554,7 @@ func (e *revised) refreshDualD() {
 	}
 	e.btranCost()
 	for j := 0; j < e.sf.nCols; j++ {
-		if e.allowed(j) && e.posOf[j] < 0 {
+		if e.posOf[j] < 0 {
 			e.dualD[j] = e.redCost(j, e.y)
 		} else {
 			e.dualD[j] = 0
@@ -617,7 +572,7 @@ func (e *revised) dual() (*Solution, error) {
 	alpha := make([]float64, e.sf.nCols)
 	degenRun := 0 // consecutive pivots with no dual-objective progress
 	for iter := 0; iter < maxIter; iter++ {
-		if err := e.checkCtx(); err != nil {
+		if err := e.ctx.Err(); err != nil {
 			return nil, err
 		}
 		// Leaving row: most negative basic value, or — after a degenerate
@@ -652,7 +607,7 @@ func (e *revised) dual() (*Solution, error) {
 		q := -1
 		bestRatio := math.Inf(1)
 		for j := 0; j < e.sf.nCols; j++ {
-			if !e.allowed(j) || e.posOf[j] >= 0 {
+			if e.posOf[j] >= 0 {
 				alpha[j] = 0
 				continue
 			}
@@ -715,9 +670,7 @@ func (e *revised) dual() (*Solution, error) {
 			}
 		}
 		e.dualD[q] = 0
-		if e.allowed(leaveCol) {
-			e.dualD[leaveCol] = -thetaD
-		}
+		e.dualD[leaveCol] = -thetaD // the warm path admits no artificial
 	}
 	return nil, ErrIterationLimit
 }

@@ -33,34 +33,35 @@ func TestRevisedMatchesDenseFixtures(t *testing.T) {
 			NumVars:   2,
 			Objective: []float64{-3, -5},
 			Constraints: []Constraint{
-				{Coeffs: []float64{1, 0}, Rel: LE, RHS: 4},
-				{Coeffs: []float64{0, 2}, Rel: LE, RHS: 12},
-				{Coeffs: []float64{3, 2}, Rel: LE, RHS: 18},
+				dense([]float64{1, 0}, 4),
+				dense([]float64{0, 2}, 12),
+				dense([]float64{3, 2}, 18),
 			},
 		},
-		{ // equality + GE rows force a real phase 1
+		{ // an equality pair and negated ≥ rows force a real phase 1
 			NumVars:   2,
 			Objective: []float64{1, 1},
 			Constraints: []Constraint{
-				{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 10},
-				{Coeffs: []float64{1, 0}, Rel: GE, RHS: 3},
-				{Coeffs: []float64{0, 1}, Rel: GE, RHS: 2},
+				dense([]float64{1, 1}, 10),
+				dense([]float64{-1, -1}, -10),
+				dense([]float64{-1, 0}, -3),
+				dense([]float64{0, -1}, -2),
 			},
 		},
 		{ // negative RHS keeps its orientation in the sparse form
 			NumVars:   1,
 			Objective: []float64{1},
 			Constraints: []Constraint{
-				{Coeffs: []float64{-1}, Rel: LE, RHS: -5},
+				dense([]float64{-1}, -5),
 			},
 		},
 		{ // degenerate corner
 			NumVars:   2,
 			Objective: []float64{-1, -1},
 			Constraints: []Constraint{
-				{Coeffs: []float64{1, 0}, Rel: LE, RHS: 0},
-				{Coeffs: []float64{2, 0}, Rel: LE, RHS: 0},
-				{Coeffs: []float64{1, 1}, Rel: LE, RHS: 3},
+				dense([]float64{1, 0}, 0),
+				dense([]float64{2, 0}, 0),
+				dense([]float64{1, 1}, 3),
 			},
 		},
 	}
@@ -73,16 +74,18 @@ func TestRevisedMatchesDenseFixtures(t *testing.T) {
 	}
 }
 
-// TestRevisedRedundantRows: duplicated equality rows leave a zero-level
-// artificial stuck basic; both engines must still agree on the optimum.
+// TestRevisedRedundantRows: a duplicated equality, each copy written as
+// two opposite ≤ rows; both engines must still agree on the optimum.
 func TestRevisedRedundantRows(t *testing.T) {
 	p := &Problem{
 		NumVars:   2,
 		Objective: []float64{1, 2},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 4},
-			{Coeffs: []float64{1, 1}, Rel: EQ, RHS: 4},
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 3},
+			dense([]float64{1, 1}, 4),
+			dense([]float64{-1, -1}, -4),
+			dense([]float64{1, 1}, 4),
+			dense([]float64{-1, -1}, -4),
+			dense([]float64{1, 0}, 3),
 		},
 	}
 	want := solveOK(t, p)
@@ -97,8 +100,8 @@ func TestRevisedInfeasibleAndUnbounded(t *testing.T) {
 		NumVars:   1,
 		Objective: []float64{1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1}, Rel: LE, RHS: 1},
-			{Coeffs: []float64{1}, Rel: GE, RHS: 2},
+			dense([]float64{1}, 1),
+			dense([]float64{-1}, -2), // x >= 2
 		},
 	}
 	s, err := Revised(ctx, infeas, nil)
@@ -115,7 +118,7 @@ func TestRevisedInfeasibleAndUnbounded(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{-1, 0},
 		Constraints: []Constraint{
-			{Coeffs: []float64{0, 1}, Rel: LE, RHS: 1},
+			dense([]float64{0, 1}, 1),
 		},
 	}
 	s, err = Revised(ctx, unb, nil)
@@ -140,7 +143,11 @@ func vertexEnumerate(p *Problem) (best float64, found bool) {
 	}
 	var rows []row
 	for _, c := range p.Constraints {
-		rows = append(rows, row{c.Coeffs, c.RHS})
+		a := make([]float64, n)
+		for k, j := range c.Vars {
+			a[j] = c.Coeffs[k]
+		}
+		rows = append(rows, row{a, c.RHS})
 	}
 	for j := 0; j < n; j++ {
 		e := make([]float64, n)
@@ -155,23 +162,8 @@ func vertexEnumerate(p *Problem) (best float64, found bool) {
 			}
 		}
 		for _, c := range p.Constraints {
-			lhs := 0.0
-			for j, a := range c.Coeffs {
-				lhs += a * x[j]
-			}
-			switch c.Rel {
-			case LE:
-				if lhs > c.RHS+eps {
-					return false
-				}
-			case GE:
-				if lhs < c.RHS-eps {
-					return false
-				}
-			case EQ:
-				if math.Abs(lhs-c.RHS) > eps {
-					return false
-				}
+			if lhs(c, x) > c.RHS+eps {
+				return false
 			}
 		}
 		return true
@@ -240,7 +232,8 @@ func vertexEnumerate(p *Problem) (best float64, found bool) {
 	return best, found
 }
 
-// TestSolverEquivalenceProperty generates random small LPs — mixed LE/GE/EQ
+// TestSolverEquivalenceProperty generates random small LPs — ≤, ≥ and =
+// rows, the last two written as a negated ≤ row and a pair of opposite ≤
 // rows, box-bounded so unboundedness is impossible — and requires the
 // dense simplex, the revised simplex and brute-force vertex enumeration
 // to agree on status and optimal objective.
@@ -268,25 +261,35 @@ func TestSolverEquivalenceProperty(t *testing.T) {
 				a[j] = rng.NormFloat64()
 				s += a[j] * xStar[j]
 			}
-			rel := Rel(rng.Intn(3))
+			const le, ge, eq = 0, 1, 2
+			rel := rng.Intn(3)
 			rhs := rng.NormFloat64() * 2
 			if anchored {
 				switch rel {
-				case LE:
+				case le:
 					rhs = s + rng.Float64()
-				case GE:
+				case ge:
 					rhs = s - rng.Float64()
-				case EQ:
+				case eq:
 					rhs = s
 				}
 			}
-			p.Constraints = append(p.Constraints, Constraint{Coeffs: a, Rel: rel, RHS: rhs})
+			neg := make([]float64, n)
+			for j, v := range a {
+				neg[j] = -v
+			}
+			switch rel {
+			case le:
+				p.Constraints = append(p.Constraints, dense(a, rhs))
+			case ge:
+				p.Constraints = append(p.Constraints, dense(neg, -rhs))
+			case eq:
+				p.Constraints = append(p.Constraints, dense(a, rhs), dense(neg, -rhs))
+			}
 		}
 		// Box rows rule out unboundedness, so status is Optimal/Infeasible.
 		for j := 0; j < n; j++ {
-			e := make([]float64, n)
-			e[j] = 1
-			p.Constraints = append(p.Constraints, Constraint{Coeffs: e, Rel: LE, RHS: 3})
+			p.Constraints = append(p.Constraints, Constraint{Vars: []int{j}, Coeffs: []float64{1}, RHS: 3})
 		}
 		ds, err := Solve(ctx, p)
 		if err != nil {
@@ -345,14 +348,10 @@ func l1FitProblem(qRows [][]float64, answers []float64) *Problem {
 		}
 		up[n+k] = -1
 		lo[n+k] = -1
-		p.Constraints = append(p.Constraints,
-			Constraint{Coeffs: up, Rel: LE, RHS: answers[k]},
-			Constraint{Coeffs: lo, Rel: LE, RHS: -answers[k]})
+		p.Constraints = append(p.Constraints, dense(up, answers[k]), dense(lo, -answers[k]))
 	}
 	for i := 0; i < n; i++ {
-		row := make([]float64, nv)
-		row[i] = 1
-		p.Constraints = append(p.Constraints, Constraint{Coeffs: row, Rel: LE, RHS: 1})
+		p.Constraints = append(p.Constraints, Constraint{Vars: []int{i}, Coeffs: []float64{1}, RHS: 1})
 	}
 	return p
 }
@@ -436,9 +435,9 @@ func TestWarmStartNewObjective(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{-3, -5},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 0}, Rel: LE, RHS: 4},
-			{Coeffs: []float64{0, 2}, Rel: LE, RHS: 12},
-			{Coeffs: []float64{3, 2}, Rel: LE, RHS: 18},
+			dense([]float64{1, 0}, 4),
+			dense([]float64{0, 2}, 12),
+			dense([]float64{3, 2}, 18),
 		},
 	}
 	first := revisedOK(t, p, nil)
@@ -463,7 +462,7 @@ func TestWarmStartMismatch(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 2}, Rel: LE, RHS: 4},
+			dense([]float64{1, 2}, 4),
 		},
 	}
 	s := revisedOK(t, p, nil)
@@ -471,7 +470,7 @@ func TestWarmStartMismatch(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 3}, Rel: LE, RHS: 4}, // different coefficient
+			dense([]float64{1, 3}, 4), // different coefficient
 		},
 	}
 	if _, err := Revised(ctx, other, s.Basis); !errors.Is(err, ErrBasisMismatch) {
@@ -482,7 +481,7 @@ func TestWarmStartMismatch(t *testing.T) {
 		NumVars:   2,
 		Objective: []float64{1, 1},
 		Constraints: []Constraint{
-			{Coeffs: []float64{1, 2}, Rel: LE, RHS: 9},
+			dense([]float64{1, 2}, 9),
 		},
 	}
 	if _, err := Revised(ctx, same, s.Basis); err != nil {
@@ -498,8 +497,8 @@ func TestWarmStartInfeasibleRHS(t *testing.T) {
 			NumVars:   1,
 			Objective: []float64{1},
 			Constraints: []Constraint{
-				{Coeffs: []float64{1}, Rel: LE, RHS: 1},
-				{Coeffs: []float64{-1}, Rel: LE, RHS: rhs},
+				dense([]float64{1}, 1),
+				dense([]float64{-1}, rhs),
 			},
 		}
 	}

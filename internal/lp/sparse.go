@@ -19,16 +19,15 @@ func (c *spCol) add(row int, v float64) {
 	c.vals = append(c.vals, v)
 }
 
-// standard is the revised engine's standard form of a Problem: Ax ⋈ b
-// rewritten as equalities with one row variable (slack or surplus) per
-// inequality row, stored column-wise sparse.
+// standard is the revised engine's standard form of a Problem: each ≤ row
+// rewritten as an equality with its own slack column, stored column-wise
+// sparse.
 //
 // Column ids are stable across solves over the same constraint matrix —
 // the property the warm-start contract relies on:
 //
 //	0 .. nStruct-1          structural variables
-//	nStruct+r               row variable of row r (slack +1 for LE,
-//	                        surplus -1 for GE; inactive for EQ)
+//	nStruct+r               slack of row r (+1 in row r)
 //	nStruct+m+r             artificial of row r (engine-internal; its
 //	                        sign depends on the per-solve RHS)
 //
@@ -41,16 +40,13 @@ type standard struct {
 	m, nStruct int
 	nCols      int // nStruct + m; artificial ids start here
 	cols       []spCol
-	active     []bool // false for the unused row-variable slot of EQ rows
-	rel        []Rel
 	b          []float64 // perturbed RHS
 	sig        uint64    // FNV-1a over the constraint structure (not RHS)
 }
 
 // buildStandard converts p. The same deterministic ε-perturbation as the
 // dense tableau is applied to the RHS — row r is relaxed by perturb·(r+1)
-// in the direction that grows the feasible region (LE up, GE down, EQ
-// untouched) — so both engines share one numerical contract.
+// — so both engines share one numerical contract.
 func buildStandard(p *Problem) *standard {
 	m := len(p.Constraints)
 	s := &standard{
@@ -58,40 +54,21 @@ func buildStandard(p *Problem) *standard {
 		nStruct: p.NumVars,
 		nCols:   p.NumVars + m,
 		cols:    make([]spCol, p.NumVars+m),
-		active:  make([]bool, p.NumVars+m),
-		rel:     make([]Rel, m),
 		b:       make([]float64, m),
 	}
-	for j := 0; j < p.NumVars; j++ {
-		s.active[j] = true
-	}
+	// Rows are visited in order, so every column lists its rows ascending.
 	for r, c := range p.Constraints {
-		s.rel[r] = c.Rel
-		delta := perturb * float64(r+1)
-		switch c.Rel {
-		case LE:
-			s.b[r] = c.RHS + delta
-			s.cols[p.NumVars+r].add(r, 1)
-			s.active[p.NumVars+r] = true
-		case GE:
-			s.b[r] = c.RHS - delta
-			s.cols[p.NumVars+r].add(r, -1)
-			s.active[p.NumVars+r] = true
-		case EQ:
-			s.b[r] = c.RHS
-		}
-	}
-	// Structural columns, gathered row-major from the dense input rows.
-	for r, c := range p.Constraints {
-		for j, v := range c.Coeffs {
-			s.cols[j].add(r, v)
+		s.b[r] = c.RHS + perturb*float64(r+1)
+		s.cols[p.NumVars+r].add(r, 1)
+		for k, j := range c.Vars {
+			s.cols[j].add(r, c.Coeffs[k])
 		}
 	}
 	s.sig = s.signature()
 	return s
 }
 
-// signature hashes the constraint structure — dimensions, relations and
+// signature hashes the constraint structure — dimensions and
 // coefficients, but not the RHS or objective — so a warm-start Basis can
 // be checked against the matrix it was produced on.
 func (s *standard) signature() uint64 {
@@ -102,9 +79,6 @@ func (s *standard) signature() uint64 {
 	}
 	mix(uint64(s.m))
 	mix(uint64(s.nStruct))
-	for r, rel := range s.rel {
-		mix(uint64(r)<<2 | uint64(rel))
-	}
 	for j := 0; j < s.nStruct; j++ {
 		col := &s.cols[j]
 		for k, row := range col.rows {

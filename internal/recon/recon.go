@@ -167,32 +167,28 @@ func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error)
 		d.obj[j] = 1
 	}
 	d.cons = make([]lp.Constraint, 0, 2*m+n)
-	slackCol := func(qi int) int {
-		if objective == L1Slack {
-			return n + qi
-		}
-		return n
-	}
 	for qi, q := range queries {
-		// Σ_{i∈q} x_i - e <= a   and   -Σ_{i∈q} x_i - e <= -a; the RHS pair
-		// (a, -a) is filled in by Decode.
-		up := make([]float64, nv)
-		lo := make([]float64, nv)
-		for _, i := range q {
-			up[i] = 1
-			lo[i] = -1
+		// Σ_{i∈q} x_i - e <= a   and   -Σ_{i∈q} x_i - e <= -a over the
+		// same variables; the RHS pair (a, -a) is filled in by Decode.
+		slack := n // Chebyshev: the one shared bound t
+		if objective == L1Slack {
+			slack = n + qi
 		}
-		up[slackCol(qi)] = -1
-		lo[slackCol(qi)] = -1
+		vars := append(append(make([]int, 0, len(q)+1), q...), slack)
+		up := make([]float64, len(vars))
+		lo := make([]float64, len(vars))
+		for k := range q {
+			up[k], lo[k] = 1, -1
+		}
+		up[len(q)], lo[len(q)] = -1, -1
 		d.cons = append(d.cons,
-			lp.Constraint{Coeffs: up, Rel: lp.LE},
-			lp.Constraint{Coeffs: lo, Rel: lp.LE},
+			lp.Constraint{Vars: vars, Coeffs: up},
+			lp.Constraint{Vars: vars, Coeffs: lo},
 		)
 	}
+	one := []float64{1}
 	for i := 0; i < n; i++ {
-		row := make([]float64, nv)
-		row[i] = 1
-		d.cons = append(d.cons, lp.Constraint{Coeffs: row, Rel: lp.LE, RHS: 1})
+		d.cons = append(d.cons, lp.Constraint{Vars: []int{i}, Coeffs: one, RHS: 1})
 	}
 	return d, nil
 }

@@ -370,8 +370,8 @@ func TestStatisticsAdvance(t *testing.T) {
 	}
 }
 
-// TestSolverStats checks the search statistics move and the Progress hook
-// fires on a formula hard enough to force conflicts and decisions.
+// TestSolverStats checks the search statistics move on a formula hard
+// enough to force conflicts and decisions.
 func TestSolverStats(t *testing.T) {
 	s := New()
 	rng := rand.New(rand.NewSource(3))
@@ -391,14 +391,6 @@ func TestSolverStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	calls := 0
-	s.ProgressEvery = 1
-	s.Progress = func(st Stats) {
-		calls++
-		if st.Conflicts <= 0 {
-			t.Errorf("progress with zero conflicts: %+v", st)
-		}
-	}
 	res := s.Solve()
 	if res == Unknown {
 		t.Fatal("unexpected Unknown")
@@ -409,9 +401,6 @@ func TestSolverStats(t *testing.T) {
 	}
 	if st.Propagations <= 0 {
 		t.Errorf("Propagations = %d, want positive", st.Propagations)
-	}
-	if st.Conflicts > 0 && calls == 0 {
-		t.Errorf("Progress hook never fired despite %d conflicts", st.Conflicts)
 	}
 }
 

@@ -82,17 +82,9 @@ type Solver struct {
 	// MaxConflicts bounds the search effort of a single Solve call; zero
 	// means unlimited.
 	MaxConflicts int64
-
-	// Progress, when set, is invoked every ProgressEvery conflicts (default
-	// 10000) with the solver's cumulative statistics. It must be cheap; it
-	// runs inside the search loop.
-	Progress func(Stats)
-	// ProgressEvery overrides the conflict interval between Progress calls.
-	ProgressEvery int64
 }
 
-// Stats is a snapshot of the solver's cumulative search statistics, as
-// passed to the Progress hook.
+// Stats is a snapshot of the solver's cumulative search statistics.
 type Stats struct {
 	Decisions    int64
 	Propagations int64
@@ -520,18 +512,11 @@ func (s *Solver) Solve() Result {
 	conflictsAtStart := s.Conflicts
 	budget := luby(restart) * 100
 	conflictsThisRestart := int64(0)
-	progressEvery := s.ProgressEvery
-	if progressEvery <= 0 {
-		progressEvery = 10000
-	}
 	for {
 		conflict := s.propagate()
 		if conflict != noConflict {
 			s.Conflicts++
 			conflictsThisRestart++
-			if s.Progress != nil && s.Conflicts%progressEvery == 0 {
-				s.Progress(s.Stats())
-			}
 			if len(s.trailLim) == 0 {
 				s.rootUnsat = true
 				return Unsat
