@@ -104,7 +104,9 @@ bench:
 # BENCH.lp.* solver rows carrying lp.pivots / lp.warm_starts, and the
 # BENCH.converge.* queries-to-accuracy rows, which gate on the
 # converge.queries counter — lower is better — instead of wall clock)
-# vanished from the new summary.
+# vanished from the new summary. Every row carrying lp.pivots in both
+# summaries also fails the gate when its pivot count grows by more than
+# the same 50%.
 benchgate: repro-quick
 	$(GO) run ./cmd/benchdiff -gate 50 -min 0.25 -require BENCH.remote.,BENCH.lp.,BENCH.converge. BENCH_baseline.json /tmp/BENCH_$(rev).json
 

@@ -9,7 +9,10 @@
 //
 // With -gate, benchdiff exits nonzero when any experiment's wall-clock
 // regressed by more than pct percent against the baseline (or ran clean in
-// the baseline but errored in the new run). -min sets the baseline floor
+// the baseline but errored in the new run). Two deterministic work
+// counters are gated lower-is-better by the same percentage, with no
+// wall-clock floor: converge.queries on the BENCH.converge. rows, and
+// lp.pivots on every row that carries it in both summaries. -min sets the baseline floor
 // below which an experiment is too fast to gate on (timing noise).
 // -require takes comma-separated id prefixes: any baseline row matching a
 // prefix must also appear in the new summary, so probe rows (e.g.
@@ -78,5 +81,5 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("gate ok: no wall-clock regression beyond +%.1f%% (baseline floor %.2fs)\n", *gate, *min)
+	fmt.Printf("gate ok: no wall-clock (baseline floor %.2fs), lp.pivots or converge.queries regression beyond +%.1f%%\n", *min, *gate)
 }

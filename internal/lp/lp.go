@@ -3,18 +3,23 @@
 // linear-program reconstruction attacks the paper surveys ([13], [18],
 // [24]) at the scale of this repository's experiments.
 //
-// Two engines share one Problem type and one termination contract
-// (two-phase primal simplex, Bland anti-cycling fallback, deterministic
-// ε-perturbation):
+// Two engines share one Problem type, one status vocabulary and one
+// numerical contract (Bland anti-cycling fallback, deterministic
+// ε-perturbation of the RHS):
 //
-//   - Solve is the dense tableau simplex — simple, O(m·n) per pivot, and
-//     the test oracle for the sparse engine.
+//   - Solve is the dense tableau simplex — two-phase primal simplex over
+//     artificials, simple, O(m·n) per pivot, and the test oracle for the
+//     sparse engine.
 //   - Revised is the sparse revised simplex — column-wise sparse storage,
 //     an LU-factorized basis with product-form (eta-file) updates between
 //     periodic refactorizations, candidate-list partial pricing, and a
 //     warm-start API: it returns an opaque Basis, and a follow-up solve
 //     over the same constraint matrix with a new RHS and/or objective
-//     restarts from it (dual simplex when only the RHS moved).
+//     restarts from it (dual simplex when only the RHS moved). A cold
+//     solve starts from the all-slack basis and reaches primal
+//     feasibility with the same dual simplex, on costs shifted to be
+//     nonnegative and deterministically perturbed; it needs no
+//     artificial columns.
 //
 // Problems have one shape, the one LP decoding poses: minimize c·x over
 // x ≥ 0 subject to sparse rows Σ_k Coeffs[k]·x[Vars[k]] ≤ RHS. A ≥ row is
@@ -77,7 +82,10 @@ type Solution struct {
 	X         []float64
 	Objective float64
 	// Pivots is the total number of simplex pivots performed (both
-	// phases); Phase1Pivots is the feasibility-search share.
+	// phases); Phase1Pivots is the share a cold solve spends before its
+	// first primal feasible basis: artificial-variable pivots in Solve,
+	// dual simplex pivots from the slack basis in Revised (which count in
+	// lp.dual_pivots too). A warm Revised solve has none.
 	Pivots       int
 	Phase1Pivots int
 	// Basis is the warm-start handle for Optimal solves of the Revised
@@ -94,7 +102,9 @@ type Solution struct {
 // counts basis LU (re)factorizations in the revised engine;
 // lp.warm_starts counts revised solves that reused a caller-provided
 // basis (lp.warm_miss counts the ones that had to fall back cold), and
-// lp.dual_pivots the dual-simplex share of pivots on the warm path.
+// lp.dual_pivots the dual-simplex share of the revised engine's pivots,
+// cold and warm. lp.phase1_pivots counts the pivots cold solves spend
+// reaching their first primal feasible basis.
 var (
 	mSolves     = obs.Default().Counter("lp.solves")
 	mPivots     = obs.Default().Counter("lp.pivots")

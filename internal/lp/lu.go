@@ -1,8 +1,9 @@
 package lp
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // luFactor is a sparse LU factorization of the m×m basis matrix B with
@@ -39,10 +40,15 @@ type luFactor struct {
 	// FTRANed entering column, e.pivot its value at e.pos.
 	etas []eta
 
-	work    []float64 // dense scratch, len m
+	work    []float64 // factor's dense scratch, len m, zero between uses
 	touched []int32
 	inWork  []bool
+	refs    []colRef  // factor's column order
+	solve   []float64 // ftran/btran scratch in elimination order, len m
 }
+
+// colRef is one basis column's factorization-order key.
+type colRef struct{ pos, nnz int }
 
 type eta struct {
 	pos   int
@@ -68,6 +74,8 @@ func newLU(m int) *luFactor {
 		work:     make([]float64, m),
 		touched:  make([]int32, 0, m),
 		inWork:   make([]bool, m),
+		refs:     make([]colRef, m),
+		solve:    make([]float64, m),
 	}
 }
 
@@ -82,17 +90,13 @@ func (f *luFactor) factor(column func(pos int) ([]int32, []float64)) bool {
 	}
 	// Sparsest columns first: their pivots eliminate rows without creating
 	// fill for the denser columns factored later.
-	type colRef struct{ pos, nnz int }
-	refs := make([]colRef, m)
+	refs := f.refs
 	for i := 0; i < m; i++ {
 		rows, _ := column(i)
 		refs[i] = colRef{pos: i, nnz: len(rows)}
 	}
-	sort.Slice(refs, func(a, b int) bool {
-		if refs[a].nnz != refs[b].nnz {
-			return refs[a].nnz < refs[b].nnz
-		}
-		return refs[a].pos < refs[b].pos
+	slices.SortFunc(refs, func(a, b colRef) int {
+		return cmp.Or(cmp.Compare(a.nnz, b.nnz), cmp.Compare(a.pos, b.pos))
 	})
 	for k := 0; k < m; k++ {
 		f.colOrder[k] = refs[k].pos
@@ -186,8 +190,8 @@ func (f *luFactor) ftran(v, out []float64) {
 		}
 	}
 	// Back-substitute U z = y, column-wise.
-	z := out // reuse out as the z buffer in elimination order via scatter below
-	tmp := make([]float64, m)
+	z := out
+	tmp := f.solve
 	for k := 0; k < m; k++ {
 		tmp[k] = v[f.rowOfPos[k]]
 	}
@@ -242,7 +246,7 @@ func (f *luFactor) btran(c, out []float64) {
 		c[et.pos] = (c[et.pos] - s) / et.pivot
 	}
 	// Uᵀ g = c (in elimination order), forward.
-	g := make([]float64, m)
+	g := f.solve
 	for k := 0; k < m; k++ {
 		s := c[f.colOrder[k]]
 		up, uv := f.uPos[k], f.uVals[k]
@@ -277,13 +281,20 @@ func (f *luFactor) appendEta(pos int, d []float64) bool {
 	if math.Abs(d[pos]) < etaPivotTol {
 		return false
 	}
-	e := eta{pos: pos, pivot: d[pos]}
+	// Reuse the backing arrays of an eta truncated by the last factor.
+	if len(f.etas) < cap(f.etas) {
+		f.etas = f.etas[:len(f.etas)+1]
+	} else {
+		f.etas = append(f.etas, eta{})
+	}
+	e := &f.etas[len(f.etas)-1]
+	e.pos, e.pivot = pos, d[pos]
+	e.rows, e.vals = e.rows[:0], e.vals[:0]
 	for i, v := range d {
 		if v != 0 {
 			e.rows = append(e.rows, int32(i))
 			e.vals = append(e.vals, v)
 		}
 	}
-	f.etas = append(f.etas, e)
 	return true
 }

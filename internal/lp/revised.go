@@ -40,12 +40,11 @@ const (
 	refactorEvery = 24
 	// dualBlandRun is the consecutive-degenerate-pivot threshold at which
 	// the dual simplex switches its leaving-row choice from Dantzig (most
-	// negative) to Bland's least-index rule. The primal side is protected
-	// by the ε-perturbation and blandAfter, but the dual ratio test runs
-	// on the unperturbed reduced costs, and on the massively degenerate
-	// L1-fitting LPs a warm start that tightens many rows at once can set
-	// Dantzig cycling; least-index selection (with the ratio test's
-	// existing lowest-column tie-break) is provably finite.
+	// negative) to Bland's least-index rule. The dual ratio test runs on
+	// costs perturbed by costPerturbation, which breaks the ties of the
+	// massively dual degenerate L1-fitting LPs; least-index selection
+	// (with the ratio test's existing lowest-column tie-break) is the
+	// provably finite backstop should a plateau survive it.
 	dualBlandRun = 256
 )
 
@@ -55,13 +54,11 @@ type revised struct {
 	sf *standard
 	m  int
 
-	artSign []float64 // per-row artificial sign for this solve
-	artCols []spCol   // artificial singleton columns (factor access)
-	cost    []float64 // current phase objective, indexed by column id
-	basis   []int     // basis position -> column id
-	posOf   []int     // column id -> basis position, -1 if nonbasic
-	xB      []float64 // basic variable values by position
-	lu      *luFactor
+	cost  []float64 // current phase objective, indexed by column id
+	basis []int     // basis position -> column id
+	posOf []int     // column id -> basis position, -1 if nonbasic
+	xB    []float64 // basic variable values by position
+	lu    *luFactor
 
 	pivots       int
 	phase1Pivots int
@@ -77,22 +74,25 @@ type revised struct {
 	d          []float64 // FTRAN output (position-indexed)
 	y          []float64 // BTRAN output (row-indexed)
 	dualD      []float64 // dual simplex's cached nonbasic reduced costs
+	alpha      []float64 // dual simplex's pivot row of B⁻¹A
 }
 
 // Revised solves p with the sparse revised simplex: column-wise sparse
 // constraint storage, an LU-factorized basis with product-form updates
 // between periodic refactorizations, candidate-list partial pricing, and
-// the same two-phase + Bland-fallback termination contract (and the same
-// ε-perturbation numerical contract) as the dense Solve.
+// the same Bland-fallback termination contract (and the same
+// ε-perturbation of the RHS) as the dense Solve.
 //
 // warm may be nil (cold start) or the Basis of a previous Revised solve
-// over the same constraint matrix. A usable warm basis skips phase 1
-// entirely: if it is still primal feasible under the new RHS the solve
-// resumes in phase 2, and if only dual feasible (the common case after an
-// RHS change at an optimum) the engine runs the dual simplex until primal
+// over the same constraint matrix. A cold solve starts from the all-slack
+// basis and restores primal feasibility with the dual simplex (see
+// coldPath). A usable warm basis resumes in phase 2 if it is still primal
+// feasible under the new RHS, and if only dual feasible (the common case
+// after an RHS change at an optimum) runs the dual simplex until primal
 // feasibility is restored. A warm basis that cannot be reused (singular
-// under the new data, or containing artificials) falls back to a cold
-// start; a basis from a *different* matrix is an ErrBasisMismatch error.
+// under the new data, or neither primal nor dual feasible) falls back to
+// a cold start; a basis from a *different* matrix is an ErrBasisMismatch
+// error.
 //
 // The returned Solution carries the final Basis for Optimal solves. The
 // context is polled before every pivot.
@@ -131,11 +131,9 @@ func newRevised(ctx context.Context, p *Problem, sf *standard) *revised {
 		p:          p,
 		sf:         sf,
 		m:          m,
-		artSign:    make([]float64, m),
-		artCols:    make([]spCol, m),
-		cost:       make([]float64, sf.nCols+m),
+		cost:       make([]float64, sf.nCols),
 		basis:      make([]int, m),
-		posOf:      make([]int, sf.nCols+m),
+		posOf:      make([]int, sf.nCols),
 		xB:         make([]float64, m),
 		lu:         newLU(m),
 		ctx:        ctx,
@@ -143,14 +141,6 @@ func newRevised(ctx context.Context, p *Problem, sf *standard) *revised {
 		posScratch: make([]float64, m),
 		d:          make([]float64, m),
 		y:          make([]float64, m),
-	}
-	for r := 0; r < m; r++ {
-		s := 1.0
-		if sf.b[r] < 0 {
-			s = -1
-		}
-		e.artSign[r] = s
-		e.artCols[r] = spCol{rows: []int32{int32(r)}, vals: []float64{s}}
 	}
 	for j := range e.posOf {
 		e.posOf[j] = -1
@@ -182,15 +172,9 @@ func (e *revised) resetBasis() {
 	e.warm = false
 }
 
-// colFor returns the sparse entries of column id j (artificials live past
-// sf.nCols). Only columns below sf.nCols — structural and slack — may
-// enter the basis; artificial columns never (re-)enter.
+// colFor returns the sparse entries of column id j.
 func (e *revised) colFor(j int) ([]int32, []float64) {
-	if j < e.sf.nCols {
-		return e.sf.cols[j].rows, e.sf.cols[j].vals
-	}
-	c := &e.artCols[j-e.sf.nCols]
-	return c.rows, c.vals
+	return e.sf.cols[j].rows, e.sf.cols[j].vals
 }
 
 func (e *revised) redCost(j int, y []float64) float64 {
@@ -214,20 +198,9 @@ func (e *revised) refactor() error {
 	return nil
 }
 
-func (e *revised) setPhase1Cost() {
-	for j := range e.cost {
-		e.cost[j] = 0
-	}
-	for r := 0; r < e.m; r++ {
-		e.cost[e.sf.nCols+r] = 1
-	}
-}
-
+// setPhase2Cost loads the true objective (slacks cost nothing).
 func (e *revised) setPhase2Cost() {
-	for j := range e.cost {
-		e.cost[j] = 0
-	}
-	copy(e.cost, e.p.Objective)
+	clear(e.cost[copy(e.cost, e.p.Objective):])
 }
 
 // btranCost computes y = Bᵀ⁻¹ c_B into e.y.
@@ -347,9 +320,9 @@ func (e *revised) chooseLeavingPrimal() (int, float64) {
 	return bestPos, bestRatio
 }
 
-// primal runs primal simplex iterations until optimality; phase1 solves
-// cannot be unbounded.
-func (e *revised) primal(phase1 bool) error {
+// primal runs primal simplex iterations from a primal feasible basis
+// until optimality.
+func (e *revised) primal() error {
 	maxIter := 20000 + 50*(e.m+e.sf.nCols)
 	for iter := 0; iter < maxIter; iter++ {
 		if err := e.ctx.Err(); err != nil {
@@ -363,9 +336,6 @@ func (e *revised) primal(phase1 bool) error {
 		e.ftranCol(q)
 		r, theta := e.chooseLeavingPrimal()
 		if r < 0 {
-			if phase1 {
-				return fmt.Errorf("lp: phase-1 unbounded (internal error)")
-			}
 			return errUnbounded
 		}
 		if err := e.doPivot(q, r, theta); err != nil {
@@ -375,97 +345,88 @@ func (e *revised) primal(phase1 bool) error {
 	return ErrIterationLimit
 }
 
-// driveOutArtificials pivots zero-level basic artificials out after
-// phase 1 (degenerate pivots, attributed to phase 1). It returns false if
-// an artificial is stuck basic at a nonzero level (infeasible). Rows
-// whose artificial admits no pivot are redundant; their artificial stays
-// basic at zero, barred from ever carrying value again.
-func (e *revised) driveOutArtificials() (bool, error) {
-	for pos := 0; pos < e.m; pos++ {
-		if e.basis[pos] < e.sf.nCols {
-			continue
-		}
-		if math.Abs(e.xB[pos]) > feasTol {
-			return false, nil
-		}
-		// ρ = Bᵀ⁻¹ e_pos; any nonbasic structural or slack column with
-		// ρ·A_j ≠ 0 can replace the artificial in a zero-length pivot.
-		for i := range e.posScratch {
-			e.posScratch[i] = 0
-		}
-		e.posScratch[pos] = 1
-		e.lu.btran(e.posScratch, e.y)
-		for j := 0; j < e.sf.nCols; j++ {
-			if e.posOf[j] >= 0 {
-				continue
-			}
-			alpha := 0.0
-			rows, vals := e.colFor(j)
-			for i, r := range rows {
-				alpha += e.y[r] * vals[i]
-			}
-			if math.Abs(alpha) <= ratioPivTol {
-				continue
-			}
-			e.ftranCol(j)
-			if math.Abs(e.d[pos]) <= ratioPivTol {
-				continue
-			}
-			if err := e.doPivot(j, pos, 0); err != nil {
-				return false, err
-			}
-			break
-		}
-	}
-	return true, nil
+// costPerturbation is the deterministic cost shift δ_j ∈ [5e-6, 1e-5)
+// the dual phase adds to nonbasic column j. The L1 decoding LPs are
+// massively dual degenerate: without it, whole plateaus of reduced costs
+// tie in the dual ratio test and the dual simplex stalls on them. A hash
+// of the column id (not an RNG) keeps every solve, and so every table,
+// identical at any worker count; spreading the δ_j over a range 5000
+// times tol keeps ties between perturbed columns rare.
+func costPerturbation(j int) float64 {
+	h := uint64(j) + 0x9e3779b97f4a7c15 // splitmix64 finalizer
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	h ^= h >> 31
+	u := float64(h>>11) / (1 << 53)
+	return 5e-6 * (1 + u)
 }
 
-// coldPath is the two-phase solve from the crash basis (the slack where
-// the row holds at x=0, the artificial elsewhere).
-func (e *revised) coldPath() (*Solution, error) {
-	numArt := 0
-	for r := 0; r < e.m; r++ {
-		if b := e.sf.b[r]; b >= 0 {
-			e.basis[r] = e.sf.nStruct + r
-			e.xB[r] = b
-		} else {
-			e.basis[r] = e.sf.nCols + r
-			e.xB[r] = -b
-			numArt++
+// primalFeasible reports whether every basic value is within feasTol of
+// nonnegative.
+func (e *revised) primalFeasible() bool {
+	for _, v := range e.xB {
+		if v < -feasTol {
+			return false
 		}
+	}
+	return true
+}
+
+// coldPath solves from the all-slack basis B = I, which is always
+// nonsingular. Negative costs are shifted to 0, which makes the slack
+// basis dual feasible (every slack costs 0, so y = 0 and each reduced
+// cost is the shifted cost), and the dual simplex then runs to a primal
+// feasible basis — or proves the rows infeasible, whatever the costs.
+// Its pivots are the solve's Phase1Pivots. Phase 2 restores the true
+// costs and finishes with the primal simplex.
+func (e *revised) coldPath() (*Solution, error) {
+	for r := 0; r < e.m; r++ {
+		e.basis[r] = e.sf.nStruct + r
 		e.posOf[e.basis[r]] = r
 	}
 	if err := e.refactor(); err != nil {
 		return nil, err
 	}
-	if numArt > 0 {
-		e.setPhase1Cost()
-		if err := e.primal(true); err != nil {
-			return nil, err
+	if !e.primalFeasible() {
+		e.setPhase2Cost()
+		for j, c := range e.cost {
+			e.cost[j] = max(c, 0)
 		}
-		infeasSum := 0.0
-		for pos := 0; pos < e.m; pos++ {
-			if e.basis[pos] >= e.sf.nCols {
-				infeasSum += math.Abs(e.xB[pos])
-			}
-		}
-		if infeasSum > feasTol {
-			e.phase1Pivots = e.pivots
-			mInfeasible.Add(1)
-			return &Solution{Status: Infeasible}, nil
-		}
-		ok, err := e.driveOutArtificials()
+		e.refreshDualD()
+		sol, err := e.dualPhase()
 		e.phase1Pivots = e.pivots
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			mInfeasible.Add(1)
-			return &Solution{Status: Infeasible}, nil
+		if sol != nil || err != nil {
+			return sol, err
 		}
 	}
+	return e.phase2()
+}
+
+// dualPhase adds costPerturbation to every nonbasic column's cost (and
+// its cached reduced cost, so e.dualD must be fresh on entry) and runs
+// the dual simplex until the basis is primal feasible. Like dual, it
+// returns a non-nil Solution only for Infeasible.
+func (e *revised) dualPhase() (*Solution, error) {
+	for j := range e.cost {
+		if e.posOf[j] < 0 {
+			delta := costPerturbation(j)
+			e.cost[j] += delta
+			e.dualD[j] += delta
+		}
+	}
+	return e.dual()
+}
+
+// phase2 restores the true costs and runs the primal simplex from the
+// current, primal feasible basis to an Optimal or Unbounded status.
+func (e *revised) phase2() (*Solution, error) {
 	e.setPhase2Cost()
-	if err := e.primal(false); err != nil {
+	for i, v := range e.xB {
+		if v < 0 {
+			e.xB[i] = 0
+		}
+	}
+	if err := e.primal(); err != nil {
 		if errors.Is(err, errUnbounded) {
 			mUnbounded.Add(1)
 			return &Solution{Status: Unbounded}, nil
@@ -476,15 +437,15 @@ func (e *revised) coldPath() (*Solution, error) {
 }
 
 // warmPath attempts to reuse a prior basis. ok=false means the basis was
-// structurally acceptable but numerically unusable (or contains
-// artificials) — the caller falls back to a cold start.
+// structurally acceptable but numerically unusable, or neither primal
+// nor dual feasible — the caller falls back to a cold start.
 func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
 	if len(warm.cols) != e.m {
 		return nil, false, fmt.Errorf("%w: basis has %d columns for %d rows", ErrBasisMismatch, len(warm.cols), e.m)
 	}
 	for _, j := range warm.cols {
 		if j < 0 || j >= e.sf.nCols || e.posOf[j] >= 0 {
-			// Artificial or duplicated column: not reusable.
+			// Out-of-range or duplicated column: not reusable.
 			for k := range e.posOf {
 				e.posOf[k] = -1
 			}
@@ -502,47 +463,28 @@ func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
 		}
 		return nil, false, err
 	}
-	e.setPhase2Cost()
-	primalFeasible := true
-	for _, v := range e.xB {
-		if v < -feasTol {
-			primalFeasible = false
-			break
-		}
-	}
-	if !primalFeasible {
-		// The usual warm case after an RHS change at an optimum: still
-		// dual feasible, so restore primal feasibility with the dual
-		// simplex instead of rerunning phase 1.
+	// The usual warm case after an RHS change at an optimum: no longer
+	// primal feasible but still dual feasible, so the dual simplex
+	// restores primal feasibility.
+	needDual := !e.primalFeasible()
+	if needDual {
+		e.setPhase2Cost()
 		e.refreshDualD()
-		for j := 0; j < e.sf.nCols; j++ {
-			if e.posOf[j] < 0 && e.dualD[j] < -feasTol {
+		for j, dj := range e.dualD {
+			if e.posOf[j] < 0 && dj < -feasTol {
 				return nil, false, nil // neither primal nor dual feasible
 			}
 		}
-		mWarmStarts.Add(1)
-		e.warm = true
-		sol, err := e.dual()
-		if sol != nil || err != nil {
+	}
+	mWarmStarts.Add(1)
+	e.warm = true
+	if needDual {
+		if sol, err := e.dualPhase(); sol != nil || err != nil {
 			return sol, true, err
 		}
-	} else {
-		mWarmStarts.Add(1)
-		e.warm = true
 	}
-	for i, v := range e.xB {
-		if v < 0 {
-			e.xB[i] = 0
-		}
-	}
-	if err := e.primal(false); err != nil {
-		if errors.Is(err, errUnbounded) {
-			mUnbounded.Add(1)
-			return &Solution{Status: Unbounded}, true, nil
-		}
-		return nil, false, err
-	}
-	return e.extract(), true, nil
+	sol, err := e.phase2()
+	return sol, err == nil, err
 }
 
 // refreshDualD recomputes the full nonbasic reduced-cost vector e.dualD
@@ -569,7 +511,10 @@ func (e *revised) refreshDualD() {
 // over A, with reduced costs updated in place from the pivot row.
 func (e *revised) dual() (*Solution, error) {
 	maxIter := 20000 + 50*(e.m+e.sf.nCols)
-	alpha := make([]float64, e.sf.nCols)
+	if e.alpha == nil {
+		e.alpha = make([]float64, e.sf.nCols)
+	}
+	alpha := e.alpha
 	degenRun := 0 // consecutive pivots with no dual-objective progress
 	for iter := 0; iter < maxIter; iter++ {
 		if err := e.ctx.Err(); err != nil {
@@ -670,7 +615,7 @@ func (e *revised) dual() (*Solution, error) {
 			}
 		}
 		e.dualD[q] = 0
-		e.dualD[leaveCol] = -thetaD // the warm path admits no artificial
+		e.dualD[leaveCol] = -thetaD
 	}
 	return nil, ErrIterationLimit
 }

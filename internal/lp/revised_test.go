@@ -356,10 +356,23 @@ func l1FitProblem(qRows [][]float64, answers []float64) *Problem {
 	return p
 }
 
+// streamFitProblem is l1FitProblem as a StreamDecoder poses it after k
+// answers: the rows of the queries not yet answered are inert
+// (Σx − e ≤ n and −Σx − e ≤ 0, which no x ∈ [0,1]^n violates).
+func streamFitProblem(qRows [][]float64, answers []float64, k int) *Problem {
+	p := l1FitProblem(qRows, answers)
+	for qi := k; qi < len(qRows); qi++ {
+		p.Constraints[2*qi].RHS = float64(len(qRows[0]))
+		p.Constraints[2*qi+1].RHS = 0
+	}
+	return p
+}
+
 // TestWarmStartAfterRHSChange is the warm-start contract test: re-solving
 // the same constraint matrix with a perturbed RHS from the previous basis
-// must give the dense-oracle optimum with no phase 1 and (far) fewer
-// pivots than the cold solve.
+// must give the dense-oracle optimum with no phase 1. On the RHS change
+// the warm path serves in production — one StreamDecoder.Push of an
+// 8-answer chunk — it must also take fewer pivots than a cold solve.
 func TestWarmStartAfterRHSChange(t *testing.T) {
 	rng := par.RNG(3, 0)
 	n, m := 16, 64
@@ -389,8 +402,9 @@ func TestWarmStartAfterRHSChange(t *testing.T) {
 		t.Error("cold solve reported Warm")
 	}
 	basis := cold.Basis
+	var noisy []float64
 	for round := 0; round < 3; round++ {
-		noisy := make([]float64, m)
+		noisy = make([]float64, m)
 		for k := range noisy {
 			noisy[k] = answers[k] + rng.NormFloat64()*float64(round+1)
 		}
@@ -416,15 +430,29 @@ func TestWarmStartAfterRHSChange(t *testing.T) {
 		if math.Abs(warm.Objective-oracle.Objective) > 1e-4 {
 			t.Errorf("round %d: warm objective %v, dense oracle %v", round, warm.Objective, oracle.Objective)
 		}
-		coldAgain, err := Revised(ctx, p, nil)
-		if err != nil {
-			t.Fatal(err)
+		basis = warm.Basis
+	}
+
+	// Stream the last round's noisy answers in 8-answer chunks: every
+	// push warm-starts from the previous push's optimum.
+	const chunk = 8
+	prev := revisedOK(t, streamFitProblem(qRows, noisy, chunk), nil)
+	for k := 2 * chunk; k <= m; k += chunk {
+		p := streamFitProblem(qRows, noisy, k)
+		warm := revisedOK(t, p, prev.Basis)
+		coldAgain := revisedOK(t, p, nil)
+		t.Logf("answers %d: warm %d pivots, cold %d", k, warm.Pivots, coldAgain.Pivots)
+		if !warm.Warm {
+			t.Errorf("answers %d: warm start not used", k)
+		}
+		if math.Abs(warm.Objective-coldAgain.Objective) > 1e-6 {
+			t.Errorf("answers %d: warm objective %v, cold %v", k, warm.Objective, coldAgain.Objective)
 		}
 		if warm.Pivots >= coldAgain.Pivots {
-			t.Errorf("round %d: warm solve took %d pivots, cold %d — warm start saved nothing",
-				round, warm.Pivots, coldAgain.Pivots)
+			t.Errorf("answers %d: warm solve took %d pivots, cold %d — warm start saved nothing",
+				k, warm.Pivots, coldAgain.Pivots)
 		}
-		basis = warm.Basis
+		prev = warm
 	}
 }
 
@@ -509,5 +537,46 @@ func TestWarmStartInfeasibleRHS(t *testing.T) {
 	}
 	if warm.Status != Infeasible {
 		t.Errorf("status = %v, want infeasible", warm.Status)
+	}
+}
+
+// TestLUKernelsAllocateNothing: once the factorization of a basis and an
+// eta file over it have been built, refactorizing it, appending etas to
+// the truncated file, FTRAN and BTRAN reuse the factor's arrays — they
+// run at every pivot, so an allocation there is garbage per pivot.
+func TestLUKernelsAllocateNothing(t *testing.T) {
+	p := reconLP(par.RNG(5, 0), 8)
+	s := revisedOK(t, p, nil)
+	sf := buildStandard(p)
+	m := sf.m
+	column := func(pos int) ([]int32, []float64) {
+		c := &sf.cols[s.Basis.cols[pos]]
+		return c.rows, c.vals
+	}
+	f := newLU(m)
+	v, c, d := make([]float64, m), make([]float64, m), make([]float64, m)
+	kernels := func() {
+		if !f.factor(column) {
+			t.Fatal("optimal basis factored as singular")
+		}
+		for k := 0; k < refactorEvery; k++ {
+			clear(v)
+			rows, vals := column(k % m)
+			for i, r := range rows {
+				v[r] = vals[i] * float64(k+2)
+			}
+			f.ftran(v, d)
+			if !f.appendEta(k%m, d) {
+				t.Fatalf("eta %d: pivot too small", k)
+			}
+			for i := range c {
+				c[i] = float64(i%7) - 3
+			}
+			f.btran(c, v)
+		}
+	}
+	kernels() // sizes the factors, the scratch and the eta arrays
+	if allocs := testing.AllocsPerRun(20, kernels); allocs != 0 {
+		t.Errorf("factor + %d × (ftran, appendEta, btran) allocated %v times, want 0", refactorEvery, allocs)
 	}
 }

@@ -28,8 +28,6 @@ func (c *spCol) add(row int, v float64) {
 //
 //	0 .. nStruct-1          structural variables
 //	nStruct+r               slack of row r (+1 in row r)
-//	nStruct+m+r             artificial of row r (engine-internal; its
-//	                        sign depends on the per-solve RHS)
 //
 // Unlike the dense tableau, rows are NOT sign-normalized by RHS sign:
 // negating a row is a diagonal ±1 scaling that changes neither which
@@ -38,7 +36,7 @@ func (c *spCol) add(row int, v float64) {
 // Basis — valid when a new RHS crosses zero.
 type standard struct {
 	m, nStruct int
-	nCols      int // nStruct + m; artificial ids start here
+	nCols      int // nStruct + m
 	cols       []spCol
 	b          []float64 // perturbed RHS
 	sig        uint64    // FNV-1a over the constraint structure (not RHS)

@@ -58,6 +58,12 @@ const ConvergeRowPrefix = "BENCH.converge."
 // reached.
 const ConvergeCounter = "converge.queries"
 
+// PivotCounter is the simplex work counter (every LP pivot of the row's
+// solves). Like ConvergeCounter it is deterministic per seed and lower
+// is better, so Regressions gates it on every row that carries it on
+// both sides, alongside the row's wall clock.
+const PivotCounter = "lp.pivots"
+
 // SecondsPct returns the wall-clock change in percent relative to the
 // baseline (0 when the baseline is zero or a side is missing).
 func (d BenchDelta) SecondsPct() float64 {
@@ -219,6 +225,9 @@ func (diff BenchDiff) MissingFromNew(prefixes []string) []string {
 // per seed, so no noise floor applies) and regress when the counter GROWS
 // by more than pct percent — more queries for the same accuracy is a
 // weaker attack. Their wall clock (microseconds of probe time) is ignored.
+// Every row whose baseline and new counters both carry PivotCounter also
+// regresses when its pivot count grows by more than pct percent, with no
+// noise floor either.
 func (diff BenchDiff) Regressions(pct, minSeconds float64) []string {
 	var out []string
 	for _, d := range diff.Rows {
@@ -232,6 +241,13 @@ func (diff BenchDiff) Regressions(pct, minSeconds float64) []string {
 		if d.BaseError != "" || d.NewError != "" {
 			continue
 		}
+		bp, inBase := d.BaseCounters[PivotCounter]
+		np, inNew := d.NewCounters[PivotCounter]
+		if inBase && inNew {
+			if v, ok := counterGrowth(d.ID, "simplex pivots", bp, np, pct); ok {
+				out = append(out, v)
+			}
+		}
 		if strings.HasPrefix(d.ID, ConvergeRowPrefix) {
 			bq, nq := d.BaseCounters[ConvergeCounter], d.NewCounters[ConvergeCounter]
 			switch {
@@ -240,9 +256,8 @@ func (diff BenchDiff) Regressions(pct, minSeconds float64) []string {
 			case nq <= 0:
 				out = append(out, fmt.Sprintf("%s: %s counter missing from new run", d.ID, ConvergeCounter))
 			default:
-				if p := 100 * float64(nq-bq) / float64(bq); p > pct {
-					out = append(out, fmt.Sprintf("%s: queries-to-accuracy %d -> %d (%+.1f%%) exceeds +%.1f%% (lower is better)",
-						d.ID, bq, nq, p, pct))
+				if v, ok := counterGrowth(d.ID, "queries-to-accuracy", bq, nq, pct); ok {
+					out = append(out, v)
 				}
 			}
 			continue
@@ -256,4 +271,18 @@ func (diff BenchDiff) Regressions(pct, minSeconds float64) []string {
 		}
 	}
 	return out
+}
+
+// counterGrowth reports a violation when a lower-is-better work counter
+// grew by more than pct percent from base to cur. A zero baseline has
+// nothing to grow from.
+func counterGrowth(id, what string, base, cur int64, pct float64) (string, bool) {
+	if base <= 0 {
+		return "", false
+	}
+	p := 100 * float64(cur-base) / float64(base)
+	if p <= pct {
+		return "", false
+	}
+	return fmt.Sprintf("%s: %s %d -> %d (%+.1f%%) exceeds +%.1f%% (lower is better)", id, what, base, cur, p, pct), true
 }

@@ -112,19 +112,23 @@ func TestBenchDiffFprint(t *testing.T) {
 }
 
 // TestBenchDiffGate pins the regression gate: an injected +60% wall-clock
-// regression and a new error both trip it; renamed probe rows, sub-floor
-// experiments and unchanged experiments do not.
+// regression, the same row's doubled lp.pivots and a new error all trip
+// it; renamed probe rows, sub-floor experiments and unchanged experiments
+// do not.
 func TestBenchDiffGate(t *testing.T) {
 	base, cur := benchPair()
 	diff := DiffBench(base, cur)
 
 	violations := diff.Regressions(50, 0.05)
-	if len(violations) != 2 {
-		t.Fatalf("violations = %v, want 2 (E02 regression + E11 error)", violations)
+	if len(violations) != 3 {
+		t.Fatalf("violations = %v, want 3 (E02 wall clock + E02 pivots + E11 error)", violations)
 	}
 	joined := strings.Join(violations, "\n")
-	if !strings.Contains(joined, "E02") || !strings.Contains(joined, "exceeds +50.0%") {
+	if !strings.Contains(joined, "E02: 1.500s -> 2.400s") || !strings.Contains(joined, "exceeds +50.0%") {
 		t.Errorf("E02 regression not reported: %v", violations)
+	}
+	if !strings.Contains(joined, "E02: simplex pivots 900 -> 1800") {
+		t.Errorf("E02 pivot regression not reported: %v", violations)
 	}
 	if !strings.Contains(joined, "E11") || !strings.Contains(joined, "boom") {
 		t.Errorf("E11 error not reported: %v", violations)
@@ -139,9 +143,10 @@ func TestBenchDiffGate(t *testing.T) {
 	if v := diff.Regressions(100, 0.05); len(v) != 1 || !strings.Contains(v[0], "E11") {
 		t.Errorf("gate at 100%% = %v, want only the E11 error", v)
 	}
-	// Raising the floor above E02's baseline silences its regression too.
-	if v := diff.Regressions(50, 2.0); len(v) != 1 {
-		t.Errorf("gate with 2s floor = %v, want only the E11 error", v)
+	// Raising the floor above E02's baseline silences its wall-clock
+	// regression, but not its pivot growth: work counters have no floor.
+	if v := diff.Regressions(50, 2.0); len(v) != 2 || !strings.Contains(v[0], "simplex pivots") || !strings.Contains(v[1], "E11") {
+		t.Errorf("gate with 2s floor = %v, want the E02 pivot growth and the E11 error", v)
 	}
 }
 
@@ -212,5 +217,49 @@ func TestConvergeRowsGateOnQueries(t *testing.T) {
 	cur = BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{{ID: "E02", Seconds: 2.0}}}
 	if got := DiffBench(base, cur).Regressions(10, 0); len(got) != 1 {
 		t.Errorf("wall-clock regression: %v, want one violation", got)
+	}
+}
+
+func TestPivotCountersGateLowerIsBetter(t *testing.T) {
+	row := func(id string, pivots int64, seconds float64) BenchEntry {
+		return BenchEntry{ID: id, Seconds: seconds, Counters: map[string]int64{PivotCounter: pivots, "lp.solves": 13}}
+	}
+	base := BenchSummary{Rev: "aaaaaaaaaaaa", Experiments: []BenchEntry{
+		row("E02", 20000, 2.0), row("BENCH.lp.cold", 12000, 0.01),
+	}}
+
+	// More pivots is a regression on any row carrying the counter, even
+	// one below the wall-clock floor and with an unchanged wall clock.
+	cur := BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{
+		row("E02", 20500, 2.0), row("BENCH.lp.cold", 19000, 0.01),
+	}}
+	got := DiffBench(base, cur).Regressions(10, 1.0)
+	if len(got) != 1 || !strings.HasPrefix(got[0], "BENCH.lp.cold: simplex pivots 12000 -> 19000") ||
+		!strings.Contains(got[0], "lower is better") {
+		t.Errorf("pivot growth: %v, want one lower-is-better violation on BENCH.lp.cold", got)
+	}
+
+	// Fewer pivots is never a violation.
+	cur = BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{
+		row("E02", 100, 2.0), row("BENCH.lp.cold", 0, 0.01),
+	}}
+	if got := DiffBench(base, cur).Regressions(10, 1.0); len(got) != 0 {
+		t.Errorf("pivot drop: %v, want none", got)
+	}
+
+	// The wall-clock gate still applies to the same rows.
+	cur = BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{
+		row("E02", 20000, 4.0), row("BENCH.lp.cold", 12000, 0.01),
+	}}
+	if got := DiffBench(base, cur).Regressions(10, 1.0); len(got) != 1 || !strings.HasPrefix(got[0], "E02: 2.000s -> 4.000s") {
+		t.Errorf("wall clock: %v, want one E02 wall-clock violation", got)
+	}
+
+	// A row that carries the counter on one side only is not gated on it.
+	cur = BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{
+		{ID: "E02", Seconds: 2.0}, row("BENCH.lp.cold", 12000, 0.01),
+	}}
+	if got := DiffBench(base, cur).Regressions(10, 1.0); len(got) != 0 {
+		t.Errorf("one-sided counter: %v, want none", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"singlingout/internal/obs"
 	"singlingout/internal/query"
 	"singlingout/internal/synth"
 )
@@ -130,5 +131,47 @@ func TestStreamPushOracleChunking(t *testing.T) {
 	// k <= 0 answers everything remaining.
 	if _, _, k, err := sd.PushOracle(ctx, o, 0); err != nil || k != sd.Answered()-10 || sd.Remaining() != 0 {
 		t.Fatalf("k = %d, err = %v, remaining = %d, want the rest in one push", k, err, sd.Remaining())
+	}
+}
+
+// TestStreamPivotBudget bounds the simplex work of the converge probe's
+// shape — n = 64, m = 4n exact answers — streamed one answer per push:
+// one cold solve, then 255 warm dual-simplex re-solves. With every dual
+// phase on perturbed costs this takes about 450 pivots; a dual simplex on
+// the true costs stalls on degenerate plateaus here (86,119 pivots).
+func TestStreamPivotBudget(t *testing.T) {
+	const budget = 1500
+	rng := rand.New(rand.NewSource(1))
+	n := 64
+	x := synth.BinaryDataset(rng, n, 0.5)
+	queries := query.RandomSubsets(rng, n, 4*n)
+	answers, err := (&query.Exact{X: x}).Answer(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecoder(n, queries, L1Slack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.Default()
+	wasEnabled := reg.Enabled()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(wasEnabled)
+	pivots := reg.Counter("lp.pivots")
+	before := pivots.Value()
+	sd := dec.Stream()
+	var got []int64
+	for i := range answers {
+		if got, _, err = sd.Push(ctx, answers[i:i+1]); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	if e := HammingError(x, got); e != 0 {
+		t.Errorf("final streamed reconstruction error = %v, want 0 on exact answers", e)
+	}
+	used := pivots.Value() - before
+	t.Logf("%d pushes took %d pivots", len(answers), used)
+	if used > budget {
+		t.Errorf("%d pushes took %d pivots, budget %d", len(answers), used, budget)
 	}
 }
