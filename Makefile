@@ -11,8 +11,9 @@
 #   make bench     quick instrumented repro run producing BENCH_<rev>.json
 #   make benchgate benchdiff against the committed BENCH_baseline.json
 #   make loadgen-smoke  one-slot in-process qserver under injected
-#                  overload; requires the BENCH.qserver.* rows
-#                  (throughput/latency/shed) to survive
+#                  overload; benchdiff against BENCH_loadgen_baseline.json
+#                  requires its BENCH.qserver.* rows (throughput/latency/
+#                  shed) to survive
 #   make gobench   the root go test -bench suite with work counters
 #   make repro     full-size experiment tables (what EXPERIMENTS.md archives)
 
@@ -97,30 +98,28 @@ bench:
 	cp /tmp/BENCH_$(rev).json BENCH_$(rev).json
 	@echo "wrote BENCH_$(rev).json"
 
-# Gate: fail if any quick-mode experiment regressed more than 50% in
-# wall clock against the committed baseline (experiments faster than
-# 0.25s in the baseline are skipped as timing noise), or if a required
-# probe row (the BENCH.remote.* query-service throughput rows, the
-# BENCH.lp.* solver rows carrying lp.pivots / lp.warm_starts, and the
-# BENCH.converge.* queries-to-accuracy rows, which gate on the
-# converge.queries counter — lower is better — instead of wall clock)
-# vanished from the new summary. Every row carrying lp.pivots in both
-# summaries also fails the gate when its pivot count grows by more than
-# the same 50%.
+# Gate: fail if any baseline row is missing from the new summary, if any
+# quick-mode experiment regressed more than 50% in wall clock against the
+# committed baseline (experiments faster than 0.25s in the baseline are
+# skipped as timing noise), or if a deterministic work counter grew more
+# than the same 50%: lp.pivots and lp.phase1_pivots on every row carrying
+# them in both summaries, and converge.queries on the BENCH.converge.*
+# queries-to-accuracy rows (whose wall clock is ignored).
 benchgate: repro-quick
-	$(GO) run ./cmd/benchdiff -gate 50 -min 0.25 -require BENCH.remote.,BENCH.lp.,BENCH.converge. BENCH_baseline.json /tmp/BENCH_$(rev).json
+	$(GO) run ./cmd/benchdiff -gate 50 -min 0.25 BENCH_baseline.json /tmp/BENCH_$(rev).json
 
 # Load-generator smoke: a small multi-analyst Zipf workload against an
 # in-process qserver, journaled into its own directory (the BENCH file is
-# named by revision, so it must not collide with repro's). The gate only
-# requires the BENCH.qserver.* rows to exist — sub-second latency rows sit
-# below the -min floor, so wall-clock noise never fails CI here.
+# named by revision, so it must not collide with repro's). The gate
+# requires every baseline row, so the BENCH.qserver.* rows must exist —
+# sub-second latency rows sit below the -min floor, so wall-clock noise
+# never fails CI here.
 loadgen-smoke:
 	mkdir -p /tmp/singlingout-loadgen
 	$(GO) run ./cmd/loadgen -analysts 4 -requests 16 -budget 100 \
 		-max-concurrent 1 -queue-depth -1 -inject-delay 5ms -concurrency 4 \
 		-metrics /tmp/singlingout-loadgen/loadgen.jsonl
-	$(GO) run ./cmd/benchdiff -gate 50 -min 0.25 -require BENCH.qserver. BENCH_loadgen_baseline.json /tmp/singlingout-loadgen/BENCH_$(rev).json
+	$(GO) run ./cmd/benchdiff -gate 50 -min 0.25 BENCH_loadgen_baseline.json /tmp/singlingout-loadgen/BENCH_$(rev).json
 
 gobench:
 	$(GO) test -bench=. -benchmem .

@@ -31,8 +31,9 @@
 // flags produce byte-identical stdout. Wall-clock results — throughput
 // and exact-sample latency quantiles — go to stderr, and with -metrics
 // also to a JSONL journal plus a BENCH_<rev>.json summary beside it
-// (rows BENCH.qserver.load / BENCH.qserver.p50 / BENCH.qserver.p99,
-// gated by `make ci` via benchdiff -require).
+// (rows BENCH.qserver.load / BENCH.qserver.p50 / BENCH.qserver.p99 /
+// BENCH.qserver.shed, which `make ci`'s benchdiff gate requires because
+// they are rows of the committed loadgen baseline).
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Package dp is a self-contained differential privacy library implementing
 // Definition 1.2 and Theorem 1.3 of the paper: the Laplace mechanism for
-// counting, its integer-valued geometric analogue, randomized response,
-// noisy histograms, the exponential mechanism, and composition accounting.
+// counting, its integer-valued geometric analogue, noisy histograms, the
+// exponential mechanism, and composition bounds.
 //
 // Every mechanism takes an explicit *rand.Rand for reproducibility and an
 // epsilon > 0; mechanisms panic on non-positive epsilon (a programmer
@@ -53,26 +53,6 @@ func GeometricCount(rng *rand.Rand, trueCount int64, eps float64) int64 {
 	return trueCount + dist.TwoSidedGeometric(rng, eps)
 }
 
-// RandomizedResponse flips the input bit with probability 1/(1+e^eps),
-// giving an eps-DP release of a single bit (Warner's classic design).
-func RandomizedResponse(rng *rand.Rand, bit bool, eps float64) bool {
-	validEps(eps)
-	pKeep := math.Exp(eps) / (1 + math.Exp(eps))
-	if rng.Float64() < pKeep {
-		return bit
-	}
-	return !bit
-}
-
-// RandomizedResponseEstimate debiases the mean of k randomized-response
-// bits: given the observed fraction of 1s, it returns an unbiased estimate
-// of the true fraction.
-func RandomizedResponseEstimate(observedFraction, eps float64) float64 {
-	validEps(eps)
-	p := math.Exp(eps) / (1 + math.Exp(eps))
-	return (observedFraction - (1 - p)) / (2*p - 1)
-}
-
 // Histogram releases a vector of disjoint-bucket counts with Laplace(1/eps)
 // noise per bucket. Because a single record changes exactly one bucket by
 // one, the whole histogram release is eps-DP.
@@ -120,37 +100,6 @@ func Exponential(rng *rand.Rand, scores []float64, eps, sensitivity float64) int
 	}
 	return len(scores) - 1
 }
-
-// Accountant tracks cumulative privacy loss under basic composition: the
-// epsilons of sequential releases add. It is the bookkeeping device behind
-// the "privacy budget" language of Section 1.1.
-type Accountant struct {
-	budget float64
-	spent  float64
-}
-
-// NewAccountant creates an accountant with the given total budget.
-func NewAccountant(budget float64) *Accountant {
-	validEps(budget)
-	return &Accountant{budget: budget}
-}
-
-// Spend debits eps from the budget, reporting an error (and debiting
-// nothing) if the budget would be exceeded.
-func (a *Accountant) Spend(eps float64) error {
-	validEps(eps)
-	if a.spent+eps > a.budget+1e-12 {
-		return fmt.Errorf("dp: budget exceeded: spent %.4g + %.4g > %.4g", a.spent, eps, a.budget)
-	}
-	a.spent += eps
-	return nil
-}
-
-// Spent returns the cumulative privacy loss so far.
-func (a *Accountant) Spent() float64 { return a.spent }
-
-// Remaining returns the unspent budget.
-func (a *Accountant) Remaining() float64 { return a.budget - a.spent }
 
 // AdvancedComposition returns the total epsilon of k adaptive eps-DP
 // releases under (eps', delta)-advanced composition:

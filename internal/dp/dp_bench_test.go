@@ -19,13 +19,6 @@ func BenchmarkGeometricCount(b *testing.B) {
 	}
 }
 
-func BenchmarkRandomizedResponse(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < b.N; i++ {
-		RandomizedResponse(rng, i%2 == 0, 1.0)
-	}
-}
-
 func BenchmarkHistogram1k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	counts := make([]int64, 1000)

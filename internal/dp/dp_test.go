@@ -46,9 +46,7 @@ func TestPanicsOnBadEpsilon(t *testing.T) {
 		func() { LaplaceCount(rng, 1, 0) },
 		func() { LaplaceCount(rng, 1, math.Inf(1)) },
 		func() { GeometricCount(rng, 1, -1) },
-		func() { RandomizedResponse(rng, true, 0) },
 		func() { Histogram(rng, []int64{1}, 0) },
-		func() { NewAccountant(0) },
 	}
 	for i, f := range cases {
 		func() {
@@ -94,24 +92,6 @@ func TestGeometricCountIsInteger(t *testing.T) {
 	}
 	if m := sum / trials; math.Abs(m-20) > 0.1 {
 		t.Errorf("mean = %v, want ~20", m)
-	}
-}
-
-func TestRandomizedResponseDebias(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	eps := 1.0
-	trueFrac := 0.3
-	const n = 200000
-	ones := 0
-	for i := 0; i < n; i++ {
-		bit := rng.Float64() < trueFrac
-		if RandomizedResponse(rng, bit, eps) {
-			ones++
-		}
-	}
-	est := RandomizedResponseEstimate(float64(ones)/n, eps)
-	if math.Abs(est-trueFrac) > 0.01 {
-		t.Errorf("debiased estimate = %v, want ~%v", est, trueFrac)
 	}
 }
 
@@ -165,25 +145,6 @@ func TestExponentialPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestAccountant(t *testing.T) {
-	a := NewAccountant(1.0)
-	if err := a.Spend(0.4); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Spend(0.6); err != nil {
-		t.Fatal(err)
-	}
-	if a.Spent() != 1.0 || math.Abs(a.Remaining()) > 1e-12 {
-		t.Errorf("spent=%v remaining=%v", a.Spent(), a.Remaining())
-	}
-	if err := a.Spend(0.01); err == nil {
-		t.Error("overspend should fail")
-	}
-	if a.Spent() != 1.0 {
-		t.Error("failed spend must not debit")
 	}
 }
 

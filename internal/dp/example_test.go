@@ -2,48 +2,28 @@ package dp_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"singlingout/internal/dp"
 )
 
-// ExampleLaplaceCount releases a count under ε-differential privacy and
-// tracks the budget with an accountant.
+// ExampleLaplaceCount releases a count under ε-differential privacy three
+// times. Under basic composition the releases' epsilons add, so the three
+// together cost ε = 1.
 func ExampleLaplaceCount() {
 	rng := rand.New(rand.NewSource(1))
-	acct := dp.NewAccountant(1.0)
-
 	trueCount := int64(1234)
+	spent := 0.0
 	for _, eps := range []float64{0.25, 0.25, 0.5} {
-		if err := acct.Spend(eps); err != nil {
-			panic(err)
-		}
-		_ = dp.LaplaceCount(rng, trueCount, eps)
+		noisy := dp.LaplaceCount(rng, trueCount, eps)
+		spent += eps
+		fmt.Printf("eps %.2f: within 50 of the truth: %v\n", eps, math.Abs(noisy-float64(trueCount)) < 50)
 	}
-	fmt.Printf("budget spent: %.2f, remaining: %.2f\n", acct.Spent(), acct.Remaining())
-	// A fourth release would exceed the budget:
-	fmt.Println("overspend rejected:", acct.Spend(0.1) != nil)
+	fmt.Printf("privacy loss spent: %.2f\n", spent)
 	// Output:
-	// budget spent: 1.00, remaining: 0.00
-	// overspend rejected: true
-}
-
-// ExampleRandomizedResponseEstimate shows local differential privacy:
-// individual answers are randomized, yet the population fraction is
-// recoverable.
-func ExampleRandomizedResponseEstimate() {
-	rng := rand.New(rand.NewSource(2))
-	eps := 1.0
-	trueFraction := 0.25
-	n := 200000
-	ones := 0
-	for i := 0; i < n; i++ {
-		truth := rng.Float64() < trueFraction
-		if dp.RandomizedResponse(rng, truth, eps) {
-			ones++
-		}
-	}
-	est := dp.RandomizedResponseEstimate(float64(ones)/float64(n), eps)
-	fmt.Printf("estimate within 0.01 of truth: %v\n", est > 0.24 && est < 0.26)
-	// Output: estimate within 0.01 of truth: true
+	// eps 0.25: within 50 of the truth: true
+	// eps 0.25: within 50 of the truth: true
+	// eps 0.50: within 50 of the truth: true
+	// privacy loss spent: 1.00
 }

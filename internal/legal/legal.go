@@ -53,7 +53,7 @@ func (v Verdict) String() string {
 }
 
 // GDPRConclusion renders the legal consequence of the verdict under the
-// paper's weakened-requirement logic.
+// paper's logic of weakened requirements.
 func (v Verdict) GDPRConclusion() string {
 	switch v {
 	case PreventsPSO:

@@ -29,8 +29,8 @@ type CounterDelta struct {
 }
 
 // BenchDelta is the per-experiment comparison of two bench summaries. An
-// experiment may exist in only one side (InBase/InNew) — a renamed probe
-// row or a newly added experiment.
+// experiment may exist in only one side (InBase/InNew) — a dropped
+// baseline row or a newly added experiment.
 type BenchDelta struct {
 	ID            string
 	InBase, InNew bool
@@ -59,10 +59,22 @@ const ConvergeRowPrefix = "BENCH.converge."
 const ConvergeCounter = "converge.queries"
 
 // PivotCounter is the simplex work counter (every LP pivot of the row's
-// solves). Like ConvergeCounter it is deterministic per seed and lower
-// is better, so Regressions gates it on every row that carries it on
-// both sides, alongside the row's wall clock.
-const PivotCounter = "lp.pivots"
+// solves), and Phase1PivotCounter the pivots cold solves spend before
+// their first primal-feasible basis. Like ConvergeCounter they are
+// deterministic per seed and lower is better, so Regressions gates each
+// on every row that carries it on both sides, alongside the row's wall
+// clock.
+const (
+	PivotCounter       = "lp.pivots"
+	Phase1PivotCounter = "lp.phase1_pivots"
+)
+
+// pivotCounters names the lower-is-better solver counters Regressions
+// gates, with the wording its violations use.
+var pivotCounters = []struct{ name, what string }{
+	{PivotCounter, "simplex pivots"},
+	{Phase1PivotCounter, "phase-1 pivots"},
+}
 
 // SecondsPct returns the wall-clock change in percent relative to the
 // baseline (0 when the baseline is zero or a side is missing).
@@ -189,49 +201,29 @@ func (diff BenchDiff) Fprint(w io.Writer) error {
 	return err
 }
 
-// MissingFromNew returns one violation per baseline experiment matching
-// any of the id prefixes that is absent from the new summary. Regressions
-// deliberately skips missing rows (probe ids may legitimately vary across
-// hosts — BENCH.census.workers=N depends on the core count), which means a
-// silently dropped probe would never trip the gate; requiring a prefix
-// closes that gap for rows whose ids are host-independent (e.g.
-// "BENCH.remote.").
-func (diff BenchDiff) MissingFromNew(prefixes []string) []string {
-	var out []string
-	for _, d := range diff.Rows {
-		if !d.InBase || d.InNew {
-			continue
-		}
-		for _, p := range prefixes {
-			if strings.HasPrefix(d.ID, p) {
-				out = append(out, fmt.Sprintf("%s: required baseline row (prefix %q) missing from new summary", d.ID, p))
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Regressions returns one violation per experiment whose wall-clock grew
-// by more than pct percent over a baseline of at least minSeconds (the
-// floor keeps sub-noise experiments from tripping the gate), and per
-// experiment that ran clean in the baseline but errored in the new run.
-// Experiments missing from the new summary are reported by Fprint but are
-// not violations: probe rows like BENCH.census.workers=N legitimately
-// change id across hosts with different core counts.
+// Regressions returns one violation per baseline experiment missing from
+// the new summary, per experiment whose wall-clock grew by more than pct
+// percent over a baseline of at least minSeconds (the floor keeps
+// sub-noise experiments from tripping the gate), and per experiment that
+// ran clean in the baseline but errored in the new run. Every baseline row
+// id is host-independent, so a row that vanished is always a violation.
 //
 // Rows under ConvergeRowPrefix invert the usual direction: they measure
 // queries-to-accuracy via the ConvergeCounter work counter (deterministic
 // per seed, so no noise floor applies) and regress when the counter GROWS
 // by more than pct percent — more queries for the same accuracy is a
 // weaker attack. Their wall clock (microseconds of probe time) is ignored.
-// Every row whose baseline and new counters both carry PivotCounter also
-// regresses when its pivot count grows by more than pct percent, with no
-// noise floor either.
+// Every row whose baseline and new counters both carry one of the
+// pivotCounters also regresses when that count grows by more than pct
+// percent, with no noise floor either.
 func (diff BenchDiff) Regressions(pct, minSeconds float64) []string {
 	var out []string
 	for _, d := range diff.Rows {
-		if !d.InBase || !d.InNew {
+		if !d.InBase {
+			continue
+		}
+		if !d.InNew {
+			out = append(out, fmt.Sprintf("%s: baseline row missing from new summary", d.ID))
 			continue
 		}
 		if d.BaseError == "" && d.NewError != "" {
@@ -241,11 +233,13 @@ func (diff BenchDiff) Regressions(pct, minSeconds float64) []string {
 		if d.BaseError != "" || d.NewError != "" {
 			continue
 		}
-		bp, inBase := d.BaseCounters[PivotCounter]
-		np, inNew := d.NewCounters[PivotCounter]
-		if inBase && inNew {
-			if v, ok := counterGrowth(d.ID, "simplex pivots", bp, np, pct); ok {
-				out = append(out, v)
+		for _, c := range pivotCounters {
+			bp, inBase := d.BaseCounters[c.name]
+			np, inNew := d.NewCounters[c.name]
+			if inBase && inNew {
+				if v, ok := counterGrowth(d.ID, c.what, bp, np, pct); ok {
+					out = append(out, v)
+				}
 			}
 		}
 		if strings.HasPrefix(d.ID, ConvergeRowPrefix) {

@@ -23,42 +23,32 @@ func benchPair() (BenchSummary, BenchSummary) {
 			{ID: "E01", Seconds: 1.0, Counters: map[string]int64{"query.count": 1000, "sat.conflicts": 5}},
 			{ID: "E02", Seconds: 2.4, Counters: map[string]int64{"lp.pivots": 1800}}, // +60% regression
 			{ID: "E11", Seconds: 0.5, Error: "boom"},
-			{ID: "BENCH.census.workers=16", Seconds: 0.1}, // probe renamed on a bigger host
+			{ID: "BENCH.census.workers=16", Seconds: 0.1}, // probe renamed on a bigger host: workers=8 is missing
 			{ID: "E90", Seconds: 0.02},                    // +100% but under the seconds floor
 		},
 	}
 	return base, cur
 }
 
-func TestMissingFromNew(t *testing.T) {
-	base, cur := benchPair()
-	base.Experiments = append(base.Experiments,
-		BenchEntry{ID: "BENCH.remote.batch=1", Seconds: 0.1},
-		BenchEntry{ID: "BENCH.remote.batch=256", Seconds: 0.02},
-	)
-	cur.Experiments = append(cur.Experiments,
-		BenchEntry{ID: "BENCH.remote.batch=1", Seconds: 0.1},
-		// batch=256 silently dropped from the new run
-	)
-	diff := DiffBench(base, cur)
-	missing := diff.MissingFromNew([]string{"BENCH.remote."})
-	if len(missing) != 1 || !strings.Contains(missing[0], "BENCH.remote.batch=256") {
-		t.Errorf("missing = %v, want exactly the dropped batch=256 row", missing)
+// TestRegressionsReportMissingRows: every baseline row is required, so a
+// row dropped from the new summary is a violation at any threshold and
+// floor, while a row only the new summary has is not.
+func TestRegressionsReportMissingRows(t *testing.T) {
+	base := BenchSummary{Rev: "aaaaaaaaaaaa", Experiments: []BenchEntry{
+		{ID: "E13", Seconds: 0.2, Counters: map[string]int64{PivotCounter: 6782}},
+		{ID: "BENCH.qserver.p50", Seconds: 0.001},
+	}}
+	cur := BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{
+		{ID: "BENCH.qserver.p50", Seconds: 0.001},
+		{ID: "E99", Seconds: 5.0},
+	}}
+	got := DiffBench(base, cur).Regressions(1000, 10)
+	if len(got) != 1 || got[0] != "E13: baseline row missing from new summary" {
+		t.Errorf("violations = %v, want exactly the dropped E13 row", got)
 	}
-	// The renamed census probe is not required, so it is not a violation —
-	// and no prefixes means nothing ever is.
-	if got := diff.MissingFromNew([]string{"BENCH.nonesuch."}); len(got) != 0 {
-		t.Errorf("unrelated prefix produced %v", got)
-	}
-	if got := diff.MissingFromNew(nil); len(got) != 0 {
-		t.Errorf("nil prefixes produced %v", got)
-	}
-	// Regressions still ignores missing rows (that is the gap -require
-	// closes), so the two checks compose rather than overlap.
-	for _, v := range diff.Regressions(1000, 0) {
-		if strings.Contains(v, "BENCH.remote.batch=256") {
-			t.Errorf("Regressions should not report missing rows: %v", v)
-		}
+	cur.Experiments = append(cur.Experiments, base.Experiments[0])
+	if got := DiffBench(base, cur).Regressions(1000, 10); len(got) != 0 {
+		t.Errorf("every baseline row present: %v, want none", got)
 	}
 }
 
@@ -83,7 +73,7 @@ func TestDiffBenchRows(t *testing.T) {
 		t.Errorf("E02 counters = %+v", d.Counters)
 	}
 	if d := byID["BENCH.census.workers=8"]; !d.InBase || d.InNew {
-		t.Errorf("renamed probe base row = %+v", d)
+		t.Errorf("renamed probe base row = %+v, want a baseline row missing from new", d)
 	}
 	if d := byID["BENCH.census.workers=16"]; d.InBase || !d.InNew {
 		t.Errorf("renamed probe new row = %+v", d)
@@ -112,16 +102,16 @@ func TestBenchDiffFprint(t *testing.T) {
 }
 
 // TestBenchDiffGate pins the regression gate: an injected +60% wall-clock
-// regression, the same row's doubled lp.pivots and a new error all trip
-// it; renamed probe rows, sub-floor experiments and unchanged experiments
-// do not.
+// regression, the same row's doubled lp.pivots, a new error and a renamed
+// probe's missing baseline row all trip it; the renamed row's new id,
+// sub-floor experiments and unchanged experiments do not.
 func TestBenchDiffGate(t *testing.T) {
 	base, cur := benchPair()
 	diff := DiffBench(base, cur)
 
 	violations := diff.Regressions(50, 0.05)
-	if len(violations) != 3 {
-		t.Fatalf("violations = %v, want 3 (E02 wall clock + E02 pivots + E11 error)", violations)
+	if len(violations) != 4 {
+		t.Fatalf("violations = %v, want 4 (E02 wall clock + E02 pivots + E11 error + missing census row)", violations)
 	}
 	joined := strings.Join(violations, "\n")
 	if !strings.Contains(joined, "E02: 1.500s -> 2.400s") || !strings.Contains(joined, "exceeds +50.0%") {
@@ -133,20 +123,23 @@ func TestBenchDiffGate(t *testing.T) {
 	if !strings.Contains(joined, "E11") || !strings.Contains(joined, "boom") {
 		t.Errorf("E11 error not reported: %v", violations)
 	}
-	for _, banned := range []string{"E90", "BENCH.census"} {
+	if !strings.Contains(joined, "BENCH.census.workers=8: baseline row missing from new summary") {
+		t.Errorf("missing census row not reported: %v", violations)
+	}
+	for _, banned := range []string{"E90", "BENCH.census.workers=16"} {
 		if strings.Contains(joined, banned) {
 			t.Errorf("%s must not trip the gate: %v", banned, violations)
 		}
 	}
 
-	// A permissive threshold only reports the error regression.
-	if v := diff.Regressions(100, 0.05); len(v) != 1 || !strings.Contains(v[0], "E11") {
-		t.Errorf("gate at 100%% = %v, want only the E11 error", v)
+	// A permissive threshold only reports the error and the missing row.
+	if v := diff.Regressions(100, 0.05); len(v) != 2 || !strings.Contains(v[0], "E11") || !strings.Contains(v[1], "BENCH.census.workers=8") {
+		t.Errorf("gate at 100%% = %v, want the E11 error and the missing census row", v)
 	}
 	// Raising the floor above E02's baseline silences its wall-clock
 	// regression, but not its pivot growth: work counters have no floor.
-	if v := diff.Regressions(50, 2.0); len(v) != 2 || !strings.Contains(v[0], "simplex pivots") || !strings.Contains(v[1], "E11") {
-		t.Errorf("gate with 2s floor = %v, want the E02 pivot growth and the E11 error", v)
+	if v := diff.Regressions(50, 2.0); len(v) != 3 || !strings.Contains(v[0], "simplex pivots") || !strings.Contains(v[1], "E11") {
+		t.Errorf("gate with 2s floor = %v, want the E02 pivot growth, the E11 error and the missing census row", v)
 	}
 }
 
@@ -225,23 +218,23 @@ func TestPivotCountersGateLowerIsBetter(t *testing.T) {
 		return BenchEntry{ID: id, Seconds: seconds, Counters: map[string]int64{PivotCounter: pivots, "lp.solves": 13}}
 	}
 	base := BenchSummary{Rev: "aaaaaaaaaaaa", Experiments: []BenchEntry{
-		row("E02", 20000, 2.0), row("BENCH.lp.cold", 12000, 0.01),
+		row("E02", 20000, 2.0), row("E13", 12000, 0.01),
 	}}
 
 	// More pivots is a regression on any row carrying the counter, even
 	// one below the wall-clock floor and with an unchanged wall clock.
 	cur := BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{
-		row("E02", 20500, 2.0), row("BENCH.lp.cold", 19000, 0.01),
+		row("E02", 20500, 2.0), row("E13", 19000, 0.01),
 	}}
 	got := DiffBench(base, cur).Regressions(10, 1.0)
-	if len(got) != 1 || !strings.HasPrefix(got[0], "BENCH.lp.cold: simplex pivots 12000 -> 19000") ||
+	if len(got) != 1 || !strings.HasPrefix(got[0], "E13: simplex pivots 12000 -> 19000") ||
 		!strings.Contains(got[0], "lower is better") {
-		t.Errorf("pivot growth: %v, want one lower-is-better violation on BENCH.lp.cold", got)
+		t.Errorf("pivot growth: %v, want one lower-is-better violation on E13", got)
 	}
 
 	// Fewer pivots is never a violation.
 	cur = BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{
-		row("E02", 100, 2.0), row("BENCH.lp.cold", 0, 0.01),
+		row("E02", 100, 2.0), row("E13", 0, 0.01),
 	}}
 	if got := DiffBench(base, cur).Regressions(10, 1.0); len(got) != 0 {
 		t.Errorf("pivot drop: %v, want none", got)
@@ -249,15 +242,32 @@ func TestPivotCountersGateLowerIsBetter(t *testing.T) {
 
 	// The wall-clock gate still applies to the same rows.
 	cur = BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{
-		row("E02", 20000, 4.0), row("BENCH.lp.cold", 12000, 0.01),
+		row("E02", 20000, 4.0), row("E13", 12000, 0.01),
 	}}
 	if got := DiffBench(base, cur).Regressions(10, 1.0); len(got) != 1 || !strings.HasPrefix(got[0], "E02: 2.000s -> 4.000s") {
 		t.Errorf("wall clock: %v, want one E02 wall-clock violation", got)
 	}
 
+	// Phase-1 pivots are gated the same way: they may grow on a row whose
+	// total pivot count did not.
+	p1row := func(id string, pivots, phase1 int64) BenchEntry {
+		e := row(id, pivots, 0.01)
+		e.Counters[Phase1PivotCounter] = phase1
+		return e
+	}
+	base = BenchSummary{Rev: "aaaaaaaaaaaa", Experiments: []BenchEntry{p1row("E02", 20000, 800)}}
+	cur = BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{p1row("E02", 20000, 1200)}}
+	if got := DiffBench(base, cur).Regressions(10, 1.0); len(got) != 1 ||
+		!strings.HasPrefix(got[0], "E02: phase-1 pivots 800 -> 1200") || !strings.Contains(got[0], "lower is better") {
+		t.Errorf("phase-1 pivot growth: %v, want one lower-is-better violation on E02", got)
+	}
+	base = BenchSummary{Rev: "aaaaaaaaaaaa", Experiments: []BenchEntry{
+		row("E02", 20000, 2.0), row("E13", 12000, 0.01),
+	}}
+
 	// A row that carries the counter on one side only is not gated on it.
 	cur = BenchSummary{Rev: "bbbbbbbbbbbb", Experiments: []BenchEntry{
-		{ID: "E02", Seconds: 2.0}, row("BENCH.lp.cold", 12000, 0.01),
+		{ID: "E02", Seconds: 2.0}, row("E13", 12000, 0.01),
 	}}
 	if got := DiffBench(base, cur).Regressions(10, 1.0); len(got) != 0 {
 		t.Errorf("one-sided counter: %v, want none", got)

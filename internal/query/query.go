@@ -60,7 +60,7 @@ type Oracle interface {
 }
 
 // AnswerOne asks a single query — the thin helper for call sites that
-// genuinely issue one query at a time (averaging attacks, diagnostics).
+// genuinely issue one query at a time (diagnostics, single probes).
 func AnswerOne(ctx context.Context, o Oracle, q []int) (float64, error) {
 	a, err := o.Answer(ctx, [][]int{q})
 	if err != nil {

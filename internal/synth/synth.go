@@ -78,11 +78,6 @@ type PopulationConfig struct {
 	BlocksPerZIP int
 }
 
-// DefaultPopulation is a laptop-sized configuration used by examples.
-func DefaultPopulation() PopulationConfig {
-	return PopulationConfig{N: 20000, ZIPs: 20, BlocksPerZIP: 40}
-}
-
 // PopulationSchema returns the schema of the generated population.
 func PopulationSchema(cfg PopulationConfig) *dataset.Schema {
 	return dataset.MustSchema(

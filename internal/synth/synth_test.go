@@ -204,7 +204,7 @@ func TestBinaryDataset(t *testing.T) {
 }
 
 func TestPopulationSchemaQuasiIdentifiers(t *testing.T) {
-	s := PopulationSchema(DefaultPopulation())
+	s := PopulationSchema(PopulationConfig{N: 200, ZIPs: 3, BlocksPerZIP: 4})
 	qi := s.QuasiIdentifiers()
 	want := map[string]bool{AttrZIP: true, AttrBirthDate: true, AttrAge: true, AttrSex: true}
 	if len(qi) != len(want) {
