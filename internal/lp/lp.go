@@ -19,7 +19,17 @@
 //     solve starts from the all-slack basis and reaches primal
 //     feasibility with the same dual simplex, on costs shifted to be
 //     nonnegative and deterministically perturbed; it needs no
-//     artificial columns.
+//     artificial columns. The dual simplex picks its leaving row by dual
+//     Devex pricing (largest x_i²/w_i over the infeasible rows, with
+//     reference weights w updated in O(m) per pivot).
+//
+// Revised is the one-shot form of an Engine: the workspace of one
+// constraint matrix — standard form, LU and eta arrays, scratch vectors —
+// built once by NewEngine and reused by every Engine.Solve, which re-reads
+// the Problem's RHS and objective. A solve warm-started from the Basis the
+// engine's previous solve returned resumes from the factorization the
+// engine kept, with one FTRAN for the new basic values and no
+// refactorization; recon.Decoder keeps one Engine for its query set.
 //
 // Problems have one shape, the one LP decoding poses: minimize c·x over
 // x ≥ 0 subject to sparse rows Σ_k Coeffs[k]·x[Vars[k]] ≤ RHS. A ≥ row is
@@ -90,8 +100,8 @@ type Solution struct {
 	Phase1Pivots int
 	// Basis is the warm-start handle for Optimal solves of the Revised
 	// engine (nil from the dense Solve): pass it to a later Revised call
-	// over the same constraint matrix. Warm reports whether this solve
-	// actually reused a caller-provided basis.
+	// or Engine.Solve over the same constraint matrix. Warm reports
+	// whether this solve actually reused a caller-provided basis.
 	Basis *Basis
 	Warm  bool
 }

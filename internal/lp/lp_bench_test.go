@@ -54,3 +54,61 @@ func benchSolve(b *testing.B, n int) {
 
 func BenchmarkSolveReconLP32(b *testing.B) { benchSolve(b, 32) }
 func BenchmarkSolveReconLP64(b *testing.B) { benchSolve(b, 64) }
+
+// BenchmarkRevisedReconLP times the revised engine on reconLP at the
+// lp-recon benchmark's size (n = 24, m = 4n): a cold one-shot Revised
+// solve, and a warm re-solve on a kept Engine after the answer rows' RHS
+// moves, alternating between two answer vectors so every solve has dual
+// simplex work to do. Both report pivots/op and allocs/op.
+func BenchmarkRevisedReconLP(b *testing.B) {
+	const n = 24
+	p := reconLP(rand.New(rand.NewSource(1)), n)
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		pivots := 0
+		for i := 0; i < b.N; i++ {
+			s, err := Revised(ctx, p, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if s.Status != Optimal {
+				b.Fatalf("status %v", s.Status)
+			}
+			pivots += s.Pivots
+		}
+		b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+	})
+	b.Run("warm", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(2))
+		rhs := [2][]float64{make([]float64, 8*n), make([]float64, 8*n)}
+		for r := range rhs[0] {
+			rhs[0][r] = p.Constraints[r].RHS
+			rhs[1][r] = p.Constraints[r].RHS + rng.Float64() - 0.5
+		}
+		q := &Problem{NumVars: p.NumVars, Objective: p.Objective, Constraints: append([]Constraint(nil), p.Constraints...)}
+		en, err := NewEngine(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := en.Solve(ctx, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		pivots := 0
+		for i := 0; i < b.N; i++ {
+			for r, v := range rhs[(i+1)%2] {
+				q.Constraints[r].RHS = v
+			}
+			if s, err = en.Solve(ctx, s.Basis); err != nil {
+				b.Fatal(err)
+			}
+			if s.Status != Optimal || !s.Warm {
+				b.Fatalf("status %v, warm %v", s.Status, s.Warm)
+			}
+			pivots += s.Pivots
+		}
+		b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+	})
+}

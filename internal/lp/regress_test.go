@@ -34,7 +34,7 @@ func TestChooseLeavingTieChainDense(t *testing.T) {
 // TestChooseLeavingTieChainRevised: the same tie chain through the
 // revised engine's ratio test.
 func TestChooseLeavingTieChainRevised(t *testing.T) {
-	e := &revised{
+	e := &Engine{
 		m:     4,
 		d:     []float64{1, 1, 1, 1},
 		xB:    []float64{0, 0.9 * tol, 1.8 * tol, 2.7 * tol},

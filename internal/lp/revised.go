@@ -5,11 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
-// ErrBasisMismatch is returned by Revised when the warm-start Basis was
-// produced on a different constraint matrix (the warm-start contract
-// covers RHS and objective changes only).
+// ErrBasisMismatch is returned by Revised and Engine.Solve when the
+// warm-start Basis was produced on a different constraint matrix (the
+// warm-start contract covers RHS and objective changes only).
 var ErrBasisMismatch = errors.New("lp: warm-start basis does not match the constraint structure")
 
 // ErrSingularBasis is returned when the engine cannot keep a numerically
@@ -19,9 +20,10 @@ var ErrSingularBasis = errors.New("lp: numerically singular basis")
 
 // Basis is an opaque warm-start handle: the basic column set at the end
 // of a Revised solve, tied by signature to the constraint matrix it was
-// produced on. Pass it to a later Revised call over the same constraint
-// matrix — same rows and coefficients; the RHS and objective may differ —
-// to start from that basis instead of from scratch.
+// produced on. Pass it to a later Revised call or Engine.Solve over the
+// same constraint matrix — same rows and coefficients; the RHS and
+// objective may differ — to start from that basis instead of from
+// scratch.
 type Basis struct {
 	sig  uint64
 	m    int
@@ -39,8 +41,8 @@ const (
 	// cheap on the reconstruction LPs, so the file is kept short.
 	refactorEvery = 24
 	// dualBlandRun is the consecutive-degenerate-pivot threshold at which
-	// the dual simplex switches its leaving-row choice from Dantzig (most
-	// negative) to Bland's least-index rule. The dual ratio test runs on
+	// the dual simplex switches its leaving-row choice from Devex pricing
+	// to Bland's least-index rule. The dual ratio test runs on
 	// costs perturbed by costPerturbation, which breaks the ties of the
 	// massively dual degenerate L1-fitting LPs; least-index selection
 	// (with the ratio test's existing lowest-column tie-break) is the
@@ -48,8 +50,20 @@ const (
 	dualBlandRun = 256
 )
 
-// revised is the sparse revised-simplex engine state for one solve.
-type revised struct {
+// Engine is the revised simplex's workspace for one constraint matrix:
+// the sparse standard form, the LU factor and eta arrays, the scratch
+// vectors, and the basis (with its factorization) of the last Optimal
+// solve. Between solves the caller may rewrite the RHS of the Problem's
+// rows and the values of its objective in place; the rows' variables and
+// coefficients, and the number of rows and variables, are fixed when the
+// Engine is built.
+//
+// A solve warm-started from the Basis the Engine's previous solve
+// returned skips the refactorization: it computes the basic values under
+// the new RHS with one FTRAN through the factorization it kept. A solve
+// allocates only the Solution it returns. An Engine is not safe for
+// concurrent use.
+type Engine struct {
 	p  *Problem
 	sf *standard
 	m  int
@@ -59,29 +73,63 @@ type revised struct {
 	posOf []int     // column id -> basis position, -1 if nonbasic
 	xB    []float64 // basic variable values by position
 	lu    *luFactor
+	// factored reports that lu factors the current basis (with its eta
+	// file) and that the basis is the one the last solve returned.
+	factored bool
 
+	// Per-solve state.
 	pivots       int
 	phase1Pivots int
 	dualPivots   int
 	warm         bool
+	ctx          context.Context
+	pricePos     int // partial-pricing cursor
 
-	ctx      context.Context
-	pricePos int // partial-pricing cursor
-
-	// Scratch (reused across iterations).
+	// Scratch (reused across iterations and solves).
 	rowScratch []float64 // row-indexed FTRAN/BTRAN input
 	posScratch []float64 // position-indexed BTRAN input
 	d          []float64 // FTRAN output (position-indexed)
 	y          []float64 // BTRAN output (row-indexed)
 	dualD      []float64 // dual simplex's cached nonbasic reduced costs
 	alpha      []float64 // dual simplex's pivot row of B⁻¹A
+	devex      []float64 // dual simplex's Devex reference weights, by position
+}
+
+// NewEngine validates p and builds the engine's workspace for its
+// constraint matrix. The Engine keeps p and re-reads its RHS and
+// objective at every Solve.
+func NewEngine(p *Problem) (*Engine, error) {
+	if err := validate(p); err != nil {
+		return nil, err
+	}
+	sf := buildStandard(p)
+	m := sf.m
+	e := &Engine{
+		p:          p,
+		sf:         sf,
+		m:          m,
+		cost:       make([]float64, sf.nCols),
+		basis:      make([]int, m),
+		posOf:      make([]int, sf.nCols),
+		xB:         make([]float64, m),
+		lu:         newLU(m),
+		rowScratch: make([]float64, m),
+		posScratch: make([]float64, m),
+		d:          make([]float64, m),
+		y:          make([]float64, m),
+		dualD:      make([]float64, sf.nCols),
+		alpha:      make([]float64, sf.nCols),
+		devex:      make([]float64, m),
+	}
+	return e, nil
 }
 
 // Revised solves p with the sparse revised simplex: column-wise sparse
 // constraint storage, an LU-factorized basis with product-form updates
 // between periodic refactorizations, candidate-list partial pricing, and
 // the same Bland-fallback termination contract (and the same
-// ε-perturbation of the RHS) as the dense Solve.
+// ε-perturbation of the RHS) as the dense Solve. It is the one-shot form
+// of NewEngine followed by Engine.Solve.
 //
 // warm may be nil (cold start) or the Basis of a previous Revised solve
 // over the same constraint matrix. A cold solve starts from the all-slack
@@ -97,19 +145,37 @@ type revised struct {
 // The returned Solution carries the final Basis for Optimal solves. The
 // context is polled before every pivot.
 func Revised(ctx context.Context, p *Problem, warm *Basis) (*Solution, error) {
-	if err := validate(p); err != nil {
+	en, err := NewEngine(p)
+	if err != nil {
 		return nil, err
+	}
+	return en.Solve(ctx, warm)
+}
+
+// Solve solves the Engine's Problem under its current RHS and objective,
+// cold when warm is nil and otherwise from warm, with Revised's contract.
+func (e *Engine) Solve(ctx context.Context, warm *Basis) (*Solution, error) {
+	if len(e.p.Objective) != e.sf.nStruct || len(e.p.Constraints) != e.m {
+		return nil, fmt.Errorf("lp: problem resized to %d objective entries and %d rows, engine built for %d and %d",
+			len(e.p.Objective), len(e.p.Constraints), e.sf.nStruct, e.m)
+	}
+	if warm != nil && (warm.sig != e.sf.sig || warm.m != e.sf.m) {
+		return nil, fmt.Errorf("%w: basis for %d rows/sig %x, matrix has %d rows/sig %x",
+			ErrBasisMismatch, warm.m, warm.sig, e.sf.m, e.sf.sig)
 	}
 	mSolves.Add(1)
 	sp := mSolveNS.Span()
 	defer sp.End()
-	sf := buildStandard(p)
-	if warm != nil && (warm.sig != sf.sig || warm.m != sf.m) {
-		return nil, fmt.Errorf("%w: basis for %d rows/sig %x, matrix has %d rows/sig %x",
-			ErrBasisMismatch, warm.m, warm.sig, sf.m, sf.sig)
+	e.sf.readRHS(e.p)
+	e.ctx = ctx
+	e.pivots, e.phase1Pivots, e.dualPivots, e.pricePos = 0, 0, 0, 0
+	e.warm = false
+	kept := e.factored && warm != nil && slices.Equal(warm.cols, e.basis)
+	e.factored = false
+	if !kept {
+		e.resetBasis()
 	}
-	e := newRevised(ctx, p, sf)
-	sol, err := e.run(warm)
+	sol, err := e.run(warm, kept)
 	mPivots.Add(int64(e.pivots))
 	mPhase1.Add(int64(e.phase1Pivots))
 	mDualPivots.Add(int64(e.dualPivots))
@@ -120,37 +186,17 @@ func Revised(ctx context.Context, p *Problem, warm *Basis) (*Solution, error) {
 	sol.Phase1Pivots = e.phase1Pivots
 	sol.Warm = e.warm
 	if sol.Status == Optimal {
-		sol.Basis = &Basis{sig: sf.sig, m: sf.m, cols: append([]int(nil), e.basis...)}
+		e.factored = true
+		sol.Basis = &Basis{sig: e.sf.sig, m: e.sf.m, cols: slices.Clone(e.basis)}
 	}
 	return sol, nil
 }
 
-func newRevised(ctx context.Context, p *Problem, sf *standard) *revised {
-	m := sf.m
-	e := &revised{
-		p:          p,
-		sf:         sf,
-		m:          m,
-		cost:       make([]float64, sf.nCols),
-		basis:      make([]int, m),
-		posOf:      make([]int, sf.nCols),
-		xB:         make([]float64, m),
-		lu:         newLU(m),
-		ctx:        ctx,
-		rowScratch: make([]float64, m),
-		posScratch: make([]float64, m),
-		d:          make([]float64, m),
-		y:          make([]float64, m),
-	}
-	for j := range e.posOf {
-		e.posOf[j] = -1
-	}
-	return e
-}
-
-func (e *revised) run(warm *Basis) (*Solution, error) {
+// run solves from warm, or cold when warm is nil or cannot be reused.
+// kept reports that warm is the basis the engine already holds factored.
+func (e *Engine) run(warm *Basis, kept bool) (*Solution, error) {
 	if warm != nil {
-		sol, ok, err := e.warmPath(warm)
+		sol, ok, err := e.warmPath(warm, kept)
 		if err != nil {
 			return nil, err
 		}
@@ -163,21 +209,20 @@ func (e *revised) run(warm *Basis) (*Solution, error) {
 	return e.coldPath()
 }
 
-// resetBasis clears basis bookkeeping after a failed warm attempt.
-func (e *revised) resetBasis() {
+// resetBasis marks every column nonbasic, before a solve that does not
+// resume from the kept basis and after a failed warm attempt.
+func (e *Engine) resetBasis() {
 	for j := range e.posOf {
 		e.posOf[j] = -1
 	}
-	e.pricePos = 0
-	e.warm = false
 }
 
 // colFor returns the sparse entries of column id j.
-func (e *revised) colFor(j int) ([]int32, []float64) {
+func (e *Engine) colFor(j int) ([]int32, []float64) {
 	return e.sf.cols[j].rows, e.sf.cols[j].vals
 }
 
-func (e *revised) redCost(j int, y []float64) float64 {
+func (e *Engine) redCost(j int, y []float64) float64 {
 	c := e.cost[j]
 	rows, vals := e.colFor(j)
 	for i, r := range rows {
@@ -188,23 +233,29 @@ func (e *revised) redCost(j int, y []float64) float64 {
 
 // refactor rebuilds the LU factors from the current basis and recomputes
 // the basic values from the RHS.
-func (e *revised) refactor() error {
+func (e *Engine) refactor() error {
 	mRefactor.Add(1)
 	if !e.lu.factor(func(pos int) ([]int32, []float64) { return e.colFor(e.basis[pos]) }) {
 		return ErrSingularBasis
 	}
-	copy(e.rowScratch, e.sf.b)
-	e.lu.ftran(e.rowScratch, e.xB)
+	e.solveXB()
 	return nil
 }
 
+// solveXB computes the basic values x_B = B⁻¹b with one FTRAN through
+// the current factorization and eta file.
+func (e *Engine) solveXB() {
+	copy(e.rowScratch, e.sf.b)
+	e.lu.ftran(e.rowScratch, e.xB)
+}
+
 // setPhase2Cost loads the true objective (slacks cost nothing).
-func (e *revised) setPhase2Cost() {
+func (e *Engine) setPhase2Cost() {
 	clear(e.cost[copy(e.cost, e.p.Objective):])
 }
 
 // btranCost computes y = Bᵀ⁻¹ c_B into e.y.
-func (e *revised) btranCost() {
+func (e *Engine) btranCost() {
 	for i := 0; i < e.m; i++ {
 		e.posScratch[i] = e.cost[e.basis[i]]
 	}
@@ -212,7 +263,7 @@ func (e *revised) btranCost() {
 }
 
 // ftranCol computes d = B⁻¹ A_q into e.d.
-func (e *revised) ftranCol(q int) {
+func (e *Engine) ftranCol(q int) {
 	for i := range e.rowScratch {
 		e.rowScratch[i] = 0
 	}
@@ -226,7 +277,7 @@ func (e *revised) ftranCol(q int) {
 // doPivot applies the basis exchange: entering column q replaces the
 // column at basis position r; the entering variable takes value theta.
 // e.d must hold B⁻¹A_q.
-func (e *revised) doPivot(q, r int, theta float64) error {
+func (e *Engine) doPivot(q, r int, theta float64) error {
 	for i := 0; i < e.m; i++ {
 		if d := e.d[i]; d != 0 {
 			e.xB[i] -= theta * d
@@ -246,7 +297,7 @@ func (e *revised) doPivot(q, r int, theta float64) error {
 // chooseEnteringPrimal prices nonbasic columns: candidate-list partial
 // pricing (Dantzig within a rotating section) before blandAfter pivots,
 // Bland's lowest-index rule after.
-func (e *revised) chooseEnteringPrimal() int {
+func (e *Engine) chooseEnteringPrimal() int {
 	total := e.sf.nCols
 	if e.pivots >= blandAfter {
 		for j := 0; j < total; j++ {
@@ -292,7 +343,7 @@ const ratioPivTol = 1e-7
 // minimum-keeping tie-break as the dense engine (ties on ratio within tol
 // break by lowest basis column id; the accepted ratio never creeps above
 // the true minimum).
-func (e *revised) chooseLeavingPrimal() (int, float64) {
+func (e *Engine) chooseLeavingPrimal() (int, float64) {
 	bestPos := -1
 	bestRatio := math.Inf(1)
 	for i := 0; i < e.m; i++ {
@@ -322,7 +373,7 @@ func (e *revised) chooseLeavingPrimal() (int, float64) {
 
 // primal runs primal simplex iterations from a primal feasible basis
 // until optimality.
-func (e *revised) primal() error {
+func (e *Engine) primal() error {
 	maxIter := 20000 + 50*(e.m+e.sf.nCols)
 	for iter := 0; iter < maxIter; iter++ {
 		if err := e.ctx.Err(); err != nil {
@@ -363,7 +414,7 @@ func costPerturbation(j int) float64 {
 
 // primalFeasible reports whether every basic value is within feasTol of
 // nonnegative.
-func (e *revised) primalFeasible() bool {
+func (e *Engine) primalFeasible() bool {
 	for _, v := range e.xB {
 		if v < -feasTol {
 			return false
@@ -379,7 +430,7 @@ func (e *revised) primalFeasible() bool {
 // feasible basis — or proves the rows infeasible, whatever the costs.
 // Its pivots are the solve's Phase1Pivots. Phase 2 restores the true
 // costs and finishes with the primal simplex.
-func (e *revised) coldPath() (*Solution, error) {
+func (e *Engine) coldPath() (*Solution, error) {
 	for r := 0; r < e.m; r++ {
 		e.basis[r] = e.sf.nStruct + r
 		e.posOf[e.basis[r]] = r
@@ -406,7 +457,7 @@ func (e *revised) coldPath() (*Solution, error) {
 // its cached reduced cost, so e.dualD must be fresh on entry) and runs
 // the dual simplex until the basis is primal feasible. Like dual, it
 // returns a non-nil Solution only for Infeasible.
-func (e *revised) dualPhase() (*Solution, error) {
+func (e *Engine) dualPhase() (*Solution, error) {
 	for j := range e.cost {
 		if e.posOf[j] < 0 {
 			delta := costPerturbation(j)
@@ -419,7 +470,7 @@ func (e *revised) dualPhase() (*Solution, error) {
 
 // phase2 restores the true costs and runs the primal simplex from the
 // current, primal feasible basis to an Optimal or Unbounded status.
-func (e *revised) phase2() (*Solution, error) {
+func (e *Engine) phase2() (*Solution, error) {
 	e.setPhase2Cost()
 	for i, v := range e.xB {
 		if v < 0 {
@@ -438,29 +489,13 @@ func (e *revised) phase2() (*Solution, error) {
 
 // warmPath attempts to reuse a prior basis. ok=false means the basis was
 // structurally acceptable but numerically unusable, or neither primal
-// nor dual feasible — the caller falls back to a cold start.
-func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
-	if len(warm.cols) != e.m {
-		return nil, false, fmt.Errorf("%w: basis has %d columns for %d rows", ErrBasisMismatch, len(warm.cols), e.m)
-	}
-	for _, j := range warm.cols {
-		if j < 0 || j >= e.sf.nCols || e.posOf[j] >= 0 {
-			// Out-of-range or duplicated column: not reusable.
-			for k := range e.posOf {
-				e.posOf[k] = -1
-			}
-			return nil, false, nil
-		}
-		e.posOf[j] = 0 // mark for duplicate detection; fixed below
-	}
-	for i, j := range warm.cols {
-		e.basis[i] = j
-		e.posOf[j] = i
-	}
-	if err := e.refactor(); err != nil {
-		if errors.Is(err, ErrSingularBasis) {
-			return nil, false, nil
-		}
+// nor dual feasible — the caller falls back to a cold start. When kept,
+// warm is the basis the engine already holds factored, and only the basic
+// values are recomputed under the new RHS.
+func (e *Engine) warmPath(warm *Basis, kept bool) (*Solution, bool, error) {
+	if kept {
+		e.solveXB()
+	} else if ok, err := e.loadBasis(warm); !ok || err != nil {
 		return nil, false, err
 	}
 	// The usual warm case after an RHS change at an optimum: no longer
@@ -487,13 +522,39 @@ func (e *revised) warmPath(warm *Basis) (*Solution, bool, error) {
 	return sol, err == nil, err
 }
 
+// loadBasis installs warm's columns as the basis and factors it. ok=false
+// means the columns are out of range, duplicated or numerically singular.
+func (e *Engine) loadBasis(warm *Basis) (ok bool, err error) {
+	if len(warm.cols) != e.m {
+		return false, fmt.Errorf("%w: basis has %d columns for %d rows", ErrBasisMismatch, len(warm.cols), e.m)
+	}
+	for _, j := range warm.cols {
+		if j < 0 || j >= e.sf.nCols || e.posOf[j] >= 0 {
+			// Out-of-range or duplicated column: not reusable.
+			for k := range e.posOf {
+				e.posOf[k] = -1
+			}
+			return false, nil
+		}
+		e.posOf[j] = 0 // mark for duplicate detection; fixed below
+	}
+	for i, j := range warm.cols {
+		e.basis[i] = j
+		e.posOf[j] = i
+	}
+	if err := e.refactor(); err != nil {
+		if errors.Is(err, ErrSingularBasis) {
+			return false, nil
+		}
+		return false, err
+	}
+	return true, nil
+}
+
 // refreshDualD recomputes the full nonbasic reduced-cost vector e.dualD
 // from scratch (one BTRAN plus one pass over A). The dual simplex keeps
 // it incrementally updated between refactorizations.
-func (e *revised) refreshDualD() {
-	if e.dualD == nil {
-		e.dualD = make([]float64, e.sf.nCols)
-	}
+func (e *Engine) refreshDualD() {
 	e.btranCost()
 	for j := 0; j < e.sf.nCols; j++ {
 		if e.posOf[j] < 0 {
@@ -509,20 +570,31 @@ func (e *revised) refreshDualD() {
 // e.dualD must be fresh (refreshDualD) on entry; each iteration costs one
 // BTRAN (the pivot row), one FTRAN (the entering column) and one pass
 // over A, with reduced costs updated in place from the pivot row.
-func (e *revised) dual() (*Solution, error) {
+//
+// The leaving row is chosen by dual Devex pricing: the row maximizing
+// x_i²/w_i over the infeasible rows, where w_i approximates the squared
+// norm of row i of B⁻¹ in a reference framework set at the start of the
+// phase (w = 1: the slack basis, or the warm basis the phase starts
+// from). After a pivot on row r with entering column d = B⁻¹A_q the
+// weights update as w_i ← max(w_i, (d_i/d_r)²·w_r) for i ≠ r and
+// w_r ← max(w_r/d_r², 1) (Forrest & Goldfarb 1992; Koberstein 2005,
+// §3.3), at O(m) per pivot and with no extra solve. Dantzig's rule (most
+// negative x_i) prices rows by a scale the basis change distorts; Devex
+// takes about a third fewer pivots on the decoding LPs.
+func (e *Engine) dual() (*Solution, error) {
 	maxIter := 20000 + 50*(e.m+e.sf.nCols)
-	if e.alpha == nil {
-		e.alpha = make([]float64, e.sf.nCols)
+	alpha, w := e.alpha, e.devex
+	for i := range w {
+		w[i] = 1
 	}
-	alpha := e.alpha
 	degenRun := 0 // consecutive pivots with no dual-objective progress
 	for iter := 0; iter < maxIter; iter++ {
 		if err := e.ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Leaving row: most negative basic value, or — after a degenerate
-		// run long enough to suggest cycling — the infeasible row whose
-		// basic variable has the lowest column id (Bland).
+		// Leaving row: the Devex choice, or — after a degenerate run long
+		// enough to suggest cycling — the infeasible row whose basic
+		// variable has the lowest column id (Bland).
 		r := -1
 		if degenRun >= dualBlandRun {
 			for i := 0; i < e.m; i++ {
@@ -531,10 +603,12 @@ func (e *revised) dual() (*Solution, error) {
 				}
 			}
 		} else {
-			worst := -feasTol
-			for i := 0; i < e.m; i++ {
-				if e.xB[i] < worst {
-					worst, r = e.xB[i], i
+			best := 0.0
+			for i, x := range e.xB {
+				if x < -feasTol {
+					if s := x * x / w[i]; s > best {
+						best, r = s, i
+					}
 				}
 			}
 		}
@@ -595,7 +669,17 @@ func (e *revised) dual() (*Solution, error) {
 			e.refreshDualD()
 			continue
 		}
-		theta := e.xB[r] / e.d[r]
+		dr := e.d[r]
+		theta := e.xB[r] / dr
+		wr := w[r]
+		for i, di := range e.d {
+			if di != 0 && i != r {
+				if v := (di / dr) * (di / dr) * wr; v > w[i] {
+					w[i] = v
+				}
+			}
+		}
+		w[r] = max(wr/(dr*dr), 1)
 		// Reduced-cost update from the pivot row: d_j ← d_j − (d_q/α_q)·α_j
 		// for nonbasic j; the leaving variable re-enters the nonbasic set
 		// with cost −d_q/α_q.
@@ -620,7 +704,7 @@ func (e *revised) dual() (*Solution, error) {
 	return nil, ErrIterationLimit
 }
 
-func (e *revised) extract() *Solution {
+func (e *Engine) extract() *Solution {
 	x := make([]float64, e.sf.nStruct)
 	for pos, j := range e.basis {
 		if j < e.sf.nStruct {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"singlingout/internal/obs"
 	"singlingout/internal/par"
 )
 
@@ -578,5 +579,77 @@ func TestLUKernelsAllocateNothing(t *testing.T) {
 	kernels() // sizes the factors, the scratch and the eta arrays
 	if allocs := testing.AllocsPerRun(20, kernels); allocs != 0 {
 		t.Errorf("factor + %d × (ftran, appendEta, btran) allocated %v times, want 0", refactorEvery, allocs)
+	}
+}
+
+// TestEngineKeepsFactorization is the Engine contract: a solve
+// warm-started from the Basis the engine's previous solve returned reuses
+// the factorization it kept (no refactorization when the basis stays
+// optimal under the new RHS), reaches the optimum a one-shot Revised
+// reaches from the same basis, and a cold solve on the same engine starts
+// over from the slack basis.
+func TestEngineKeepsFactorization(t *testing.T) {
+	reg := obs.Default()
+	wasEnabled := reg.Enabled()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(wasEnabled)
+
+	p := reconLP(par.RNG(7, 0), 12)
+	en, err := NewEngine(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := en.Solve(ctx, nil)
+	if err != nil || cold.Status != Optimal {
+		t.Fatalf("cold solve: %v, %v", cold, err)
+	}
+	refactors := mRefactor.Value()
+	same, err := en.Solve(ctx, cold.Basis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same.Warm || same.Pivots != 0 || mRefactor.Value() != refactors {
+		t.Errorf("re-solve at an unchanged RHS: warm %v, %d pivots, %d refactorizations; want a warm solve with none",
+			same.Warm, same.Pivots, mRefactor.Value()-refactors)
+	}
+	if math.Abs(same.Objective-cold.Objective) > 1e-9 {
+		t.Errorf("re-solve objective %v, first solve %v", same.Objective, cold.Objective)
+	}
+
+	basis := same.Basis
+	rng := par.RNG(7, 1)
+	for round := 0; round < 4; round++ {
+		for r := 0; r < 2*4*12; r++ {
+			p.Constraints[r].RHS += rng.Float64() - 0.5
+		}
+		oneShot := revisedOK(t, p, basis)
+		kept, err := en.Solve(ctx, basis)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if kept.Status != Optimal || !kept.Warm {
+			t.Fatalf("round %d: status %v warm %v, want an optimal warm solve", round, kept.Status, kept.Warm)
+		}
+		checkFeasible(t, p, kept.X)
+		if math.Abs(kept.Objective-oneShot.Objective) > 1e-6 {
+			t.Errorf("round %d: engine objective %v, one-shot Revised %v", round, kept.Objective, oneShot.Objective)
+		}
+		basis = kept.Basis
+	}
+
+	again, err := en.Solve(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Warm || again.Phase1Pivots == 0 {
+		t.Errorf("cold solve on a used engine: warm %v, %d phase-1 pivots; want a cold start", again.Warm, again.Phase1Pivots)
+	}
+	if math.Abs(again.Objective-revisedOK(t, p, nil).Objective) > 1e-6 {
+		t.Errorf("cold solve on a used engine: objective %v differs from a new engine's", again.Objective)
+	}
+
+	p.Constraints = p.Constraints[:len(p.Constraints)-1]
+	if _, err := en.Solve(ctx, nil); err == nil {
+		t.Error("solve after the problem lost a row should fail")
 	}
 }

@@ -38,13 +38,12 @@ type standard struct {
 	m, nStruct int
 	nCols      int // nStruct + m
 	cols       []spCol
-	b          []float64 // perturbed RHS
+	b          []float64 // perturbed RHS, reloaded at every solve
 	sig        uint64    // FNV-1a over the constraint structure (not RHS)
 }
 
-// buildStandard converts p. The same deterministic ε-perturbation as the
-// dense tableau is applied to the RHS — row r is relaxed by perturb·(r+1)
-// — so both engines share one numerical contract.
+// buildStandard converts p's constraint matrix; the RHS is loaded by
+// readRHS at every solve.
 func buildStandard(p *Problem) *standard {
 	m := len(p.Constraints)
 	s := &standard{
@@ -56,7 +55,6 @@ func buildStandard(p *Problem) *standard {
 	}
 	// Rows are visited in order, so every column lists its rows ascending.
 	for r, c := range p.Constraints {
-		s.b[r] = c.RHS + perturb*float64(r+1)
 		s.cols[p.NumVars+r].add(r, 1)
 		for k, j := range c.Vars {
 			s.cols[j].add(r, c.Coeffs[k])
@@ -64,6 +62,15 @@ func buildStandard(p *Problem) *standard {
 	}
 	s.sig = s.signature()
 	return s
+}
+
+// readRHS loads p's RHS into s.b. The same deterministic ε-perturbation
+// as the dense tableau is applied — row r is relaxed by perturb·(r+1) —
+// so both engines share one numerical contract.
+func (s *standard) readRHS(p *Problem) {
+	for r, c := range p.Constraints {
+		s.b[r] = c.RHS + perturb*float64(r+1)
+	}
 }
 
 // signature hashes the constraint structure — dimensions and

@@ -124,17 +124,16 @@ const (
 // Decoder is the batched LP-decoding entry point: it fixes a query set
 // once and decodes any number of answer vectors against it. The decoding
 // LP's constraint matrix depends only on the queries — the answers enter
-// only through the RHS — so the Decoder keeps the revised simplex basis
-// of its previous decode and warm-starts the next one from it. A Decoder
+// only through the RHS — so the Decoder keeps one revised simplex engine
+// (lp.Engine) for that matrix, built once, and warm-starts each decode
+// from the basis, and the factorization, of the previous one. A Decoder
 // is not safe for concurrent use; each goroutine builds its own.
 type Decoder struct {
-	n         int
-	queries   [][]int
-	objective LPObjective
-	nv        int
-	obj       []float64
-	cons      []lp.Constraint // RHS of the first 2·len(queries) rows rewritten per decode
-	basis     *lp.Basis
+	n       int
+	queries [][]int
+	cons    []lp.Constraint // RHS of the first 2·len(queries) rows rewritten per decode
+	eng     *lp.Engine      // reads cons' RHS at every solve
+	basis   *lp.Basis
 }
 
 // NewDecoder validates the query set and precomputes the decoding LP's
@@ -161,10 +160,10 @@ func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error)
 	default:
 		return nil, fmt.Errorf("recon: unknown objective %d", objective)
 	}
-	d := &Decoder{n: n, queries: queries, objective: objective, nv: nv}
-	d.obj = make([]float64, nv)
+	d := &Decoder{n: n, queries: queries}
+	obj := make([]float64, nv)
 	for j := n; j < nv; j++ {
-		d.obj[j] = 1
+		obj[j] = 1
 	}
 	d.cons = make([]lp.Constraint, 0, 2*m+n)
 	for qi, q := range queries {
@@ -190,6 +189,11 @@ func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error)
 	for i := 0; i < n; i++ {
 		d.cons = append(d.cons, lp.Constraint{Vars: []int{i}, Coeffs: one, RHS: 1})
 	}
+	eng, err := lp.NewEngine(&lp.Problem{NumVars: nv, Objective: obj, Constraints: d.cons})
+	if err != nil {
+		return nil, fmt.Errorf("recon: %w", err)
+	}
+	d.eng = eng
 	return d, nil
 }
 

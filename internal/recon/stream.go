@@ -50,9 +50,11 @@ var mColdRestarts = obs.Default().Counter("recon.stream_cold_restarts")
 // (noise c = 0). With noisy answers the L1 decoding LP is often
 // degenerate, and the warm-started path can stop at a different optimal
 // vertex than the one-push decode: measured at n = 24, m = 4n, chunks of
-// 8, in about 1% of query sets at noise c = 0.25 and 14% at c = 1. A
-// StreamDecoder borrows its Decoder — run one session at a time and do
-// not interleave Decode calls with an active session.
+// 8, in about 1% of query sets at noise c = 0.25 and 14% at c = 1
+// (perfbench lp-recon, seed 1, 20 s: 2 and 37 of 268 rounds; seed 2,
+// 10 s: 2 and 25 of 159). A StreamDecoder borrows its Decoder — run one
+// session at a time and do not interleave Decode calls with an active
+// session.
 type StreamDecoder struct {
 	d        *Decoder
 	answered int
@@ -118,17 +120,17 @@ func (sd *StreamDecoder) PushOracle(ctx context.Context, o query.Oracle, k int) 
 	return got, frac, k, err
 }
 
-// solve runs the decoding LP over the decoder's current RHS state,
-// warm-starting from (and then retaining) the simplex basis. A warm
-// solve that runs out of simplex iterations is retried cold — see
-// mColdRestarts.
+// solve runs the decoding LP over the decoder's current RHS state on the
+// decoder's engine, warm-starting from (and then retaining) the simplex
+// basis the engine holds factored. A warm solve that runs out of simplex
+// iterations is retried cold, which discards that basis and its
+// factorization — see mColdRestarts.
 func (d *Decoder) solve(ctx context.Context) ([]int64, []float64, error) {
-	prob := &lp.Problem{NumVars: d.nv, Objective: d.obj, Constraints: d.cons}
-	sol, err := lp.Revised(ctx, prob, d.basis)
+	sol, err := d.eng.Solve(ctx, d.basis)
 	if err != nil && d.basis != nil && errors.Is(err, lp.ErrIterationLimit) {
 		mColdRestarts.Add(1)
 		d.basis = nil
-		sol, err = lp.Revised(ctx, prob, nil)
+		sol, err = d.eng.Solve(ctx, nil)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("recon: LP solve: %w", err)

@@ -1,7 +1,9 @@
 package recon
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"singlingout/internal/obs"
@@ -173,5 +175,111 @@ func TestStreamPivotBudget(t *testing.T) {
 	t.Logf("%d pushes took %d pivots", len(answers), used)
 	if used > budget {
 		t.Errorf("%d pushes took %d pivots, budget %d", len(answers), used, budget)
+	}
+}
+
+// TestNoisyRoundPivotBudget bounds the simplex work of one noisy decoding
+// round of the lp-recon benchmark's shape: n = 24, m = 4n answers from
+// BoundedNoise at c = 1 (α = √n), one cold Decode, then the same answers
+// pushed through a stream in 12 chunks of 8. With Devex pricing in the
+// dual simplex this takes 881 pivots (254 of them the cold decode's);
+// picking the most negative basic value as the leaving row instead takes
+// 1,485.
+func TestNoisyRoundPivotBudget(t *testing.T) {
+	const budget = 1150
+	rng := rand.New(rand.NewSource(1))
+	n := 24
+	x := synth.BinaryDataset(rng, n, 0.5)
+	o := &query.BoundedNoise{X: x, Alpha: math.Sqrt(float64(n)), Rng: rand.New(rand.NewSource(rng.Int63()))}
+	queries := query.RandomSubsets(rng, n, 4*n)
+	answers, err := o.Answer(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecoder(n, queries, L1Slack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.Default()
+	wasEnabled := reg.Enabled()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(wasEnabled)
+	pivots := reg.Counter("lp.pivots")
+	before := pivots.Value()
+	if _, _, err := dec.Decode(ctx, answers); err != nil {
+		t.Fatal(err)
+	}
+	cold := pivots.Value() - before
+	sd := dec.Stream()
+	for i := 0; i < len(answers); i += 8 {
+		if _, _, err := sd.Push(ctx, answers[i:i+8]); err != nil {
+			t.Fatalf("push at %d: %v", i, err)
+		}
+	}
+	used := pivots.Value() - before
+	t.Logf("cold decode %d pivots, 12 pushes %d, total %d", cold, used-cold, used)
+	if used > budget {
+		t.Errorf("cold decode + 12 pushes took %d pivots, budget %d", used, budget)
+	}
+}
+
+// TestWarmPushAllocations: a Decoder keeps one simplex engine, so a warm
+// push allocates only what it returns (the bits, the fractional vector,
+// the lp.Solution with its X and Basis) — not the standard form, the LU
+// factors and the scratch vectors a one-shot solve builds.
+func TestWarmPushAllocations(t *testing.T) {
+	const maxAllocs = 8
+	_, _, answers, dec := buildWorkload(t, 9)
+	if _, _, err := dec.Decode(ctx, answers); err != nil {
+		t.Fatal(err)
+	}
+	sd := dec.Stream()
+	var err error
+	allocs := testing.AllocsPerRun(40, func() {
+		if err == nil {
+			_, _, err = sd.Push(ctx, answers[sd.Answered():sd.Answered()+2])
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("warm push: %v allocations", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("warm push allocated %v objects, want at most %d", allocs, maxAllocs)
+	}
+}
+
+// TestReusedDecoderMatchesFresh: a Decoder that already decoded one
+// answer vector decodes a second one, warm from the basis and the
+// factorization it kept, to the same bits as a fresh Decoder does cold.
+// With exact answers (c = 0) the optimum is unique, so both must also
+// recover the database exactly.
+func TestReusedDecoderMatchesFresh(t *testing.T) {
+	x, _, answers, dec := buildWorkload(t, 13)
+	if _, _, err := dec.Decode(ctx, answers); err != nil {
+		t.Fatal(err)
+	}
+	y := synth.BinaryDataset(rand.New(rand.NewSource(14)), len(x), 0.5)
+	answers2, err := (&query.Exact{X: y}).Answer(ctx, dec.queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused, _, err := dec.Decode(ctx, answers2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshDec, err := NewDecoder(len(x), dec.queries, L1Slack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _, err := freshDec.Decode(ctx, answers2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(reused, fresh) {
+		t.Errorf("reused decoder gave %v, fresh decoder %v", reused, fresh)
+	}
+	if e := HammingError(y, reused); e != 0 {
+		t.Errorf("reused decoder's reconstruction error = %v, want 0 on exact answers", e)
 	}
 }
