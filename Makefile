@@ -14,7 +14,9 @@
 #                  overload; benchdiff against BENCH_loadgen_baseline.json
 #                  requires its BENCH.qserver.* rows (throughput/latency/
 #                  shed) to survive
-#   make gobench   the root go test -bench suite with work counters
+#   make gobench   the root go test -bench suite with work counters, plus
+#                  the LP engine's and the LP decoder's pivots/op and
+#                  ns/pivot benchmarks
 #   make repro     full-size experiment tables (what EXPERIMENTS.md archives)
 
 GO ?= go
@@ -123,6 +125,8 @@ loadgen-smoke:
 
 gobench:
 	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench=BenchmarkRevisedReconLP -benchmem ./internal/lp
+	$(GO) test -run '^$$' -bench=BenchmarkDecodeThenStream -benchmem ./internal/recon
 
 repro:
 	$(GO) run ./cmd/repro

@@ -23,6 +23,18 @@
 //     Devex pricing (largest x_i²/w_i over the infeasible rows, with
 //     reference weights w updated in O(m) per pivot).
 //
+// The revised engine's kernels do work proportional to nonzeros. The
+// dual simplex computes its pivot row α = ρᵀA row-wise, from a row-wise
+// copy of A, over the rows where ρ is nonzero (about an eighth of them on
+// the decoding LPs), and runs its ratio test and reduced-cost update over
+// only the columns that row reaches. The refactorization applies the
+// earlier L columns through a bitset of the elimination positions a
+// column reaches and orders the columns by counting sort. L, U and the
+// eta file live in flat arrays with start offsets, sized when the Engine
+// is built. Every one of these keeps the per-entry order of the floating
+// point operations of a dense pass, so the pivots, the bases and the
+// solutions are the same as theirs bit for bit.
+//
 // Revised is the one-shot form of an Engine: the workspace of one
 // constraint matrix — standard form, LU and eta arrays, scratch vectors —
 // built once by NewEngine and reused by every Engine.Solve, which re-reads

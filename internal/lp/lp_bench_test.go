@@ -59,7 +59,8 @@ func BenchmarkSolveReconLP64(b *testing.B) { benchSolve(b, 64) }
 // lp-recon benchmark's size (n = 24, m = 4n): a cold one-shot Revised
 // solve, and a warm re-solve on a kept Engine after the answer rows' RHS
 // moves, alternating between two answer vectors so every solve has dual
-// simplex work to do. Both report pivots/op and allocs/op.
+// simplex work to do. Both report pivots/op, ns/pivot and allocs/op, so
+// the pivot count and the cost of a pivot show separately.
 func BenchmarkRevisedReconLP(b *testing.B) {
 	const n = 24
 	p := reconLP(rand.New(rand.NewSource(1)), n)
@@ -76,7 +77,7 @@ func BenchmarkRevisedReconLP(b *testing.B) {
 			}
 			pivots += s.Pivots
 		}
-		b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+		reportPivots(b, pivots)
 	})
 	b.Run("warm", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(2))
@@ -109,6 +110,14 @@ func BenchmarkRevisedReconLP(b *testing.B) {
 			}
 			pivots += s.Pivots
 		}
-		b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+		reportPivots(b, pivots)
 	})
+}
+
+// reportPivots reports pivots/op and the benchmark's time per pivot.
+func reportPivots(b *testing.B, pivots int) {
+	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+	if pivots > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pivots), "ns/pivot")
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -91,7 +92,8 @@ type Engine struct {
 	d          []float64 // FTRAN output (position-indexed)
 	y          []float64 // BTRAN output (row-indexed)
 	dualD      []float64 // dual simplex's cached nonbasic reduced costs
-	alpha      []float64 // dual simplex's pivot row of B⁻¹A
+	alpha      []float64 // dual simplex's pivot row of B⁻¹A, zero outside alphaSet
+	alphaSet   []uint64  // bitset of the columns alpha holds entries for
 	devex      []float64 // dual simplex's Devex reference weights, by position
 }
 
@@ -119,6 +121,7 @@ func NewEngine(p *Problem) (*Engine, error) {
 		y:          make([]float64, m),
 		dualD:      make([]float64, sf.nCols),
 		alpha:      make([]float64, sf.nCols),
+		alphaSet:   make([]uint64, (sf.nCols+63)/64),
 		devex:      make([]float64, m),
 	}
 	return e, nil
@@ -288,7 +291,7 @@ func (e *Engine) doPivot(q, r int, theta float64) error {
 	e.basis[r] = q
 	e.posOf[q] = r
 	e.pivots++
-	if len(e.lu.etas) >= refactorEvery || !e.lu.appendEta(r, e.d) {
+	if e.lu.numEtas() >= refactorEvery || !e.lu.appendEta(r, e.d) {
 		return e.refactor()
 	}
 	return nil
@@ -616,39 +619,37 @@ func (e *Engine) dual() (*Solution, error) {
 			return nil, nil // primal feasible — optimal after drift check
 		}
 		// ρ = Bᵀ⁻¹ e_r gives row r of B⁻¹A; the ratio test runs on the
-		// cached reduced costs against that row.
-		for i := range e.posScratch {
-			e.posScratch[i] = 0
-		}
+		// cached reduced costs against that row, over the columns it
+		// reaches in ascending order.
+		clear(e.posScratch)
 		e.posScratch[r] = 1
 		e.lu.btran(e.posScratch, e.y)
+		e.pivotRow()
 		leaveCol := e.basis[r]
 		q := -1
 		bestRatio := math.Inf(1)
-		for j := 0; j < e.sf.nCols; j++ {
-			if e.posOf[j] >= 0 {
-				alpha[j] = 0
-				continue
-			}
-			a := 0.0
-			rows, vals := e.colFor(j)
-			for i, rr := range rows {
-				a += e.y[rr] * vals[i]
-			}
-			alpha[j] = a
-			if a >= -ratioPivTol {
-				continue
-			}
-			dj := e.dualD[j]
-			if dj < 0 {
-				dj = 0 // clamp drift: dual feasibility is an invariant here
-			}
-			ratio := dj / -a
-			if ratio < bestRatio-tol || (ratio < bestRatio+tol && (q < 0 || j < q)) {
-				if ratio < bestRatio {
-					bestRatio = ratio
+		for w, word := range e.alphaSet {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 | bits.TrailingZeros64(word)
+				if e.posOf[j] >= 0 {
+					alpha[j] = 0
+					continue
 				}
-				q = j
+				a := alpha[j]
+				if a >= -ratioPivTol {
+					continue
+				}
+				dj := e.dualD[j]
+				if dj < 0 {
+					dj = 0 // clamp drift: dual feasibility is an invariant here
+				}
+				ratio := dj / -a
+				if ratio < bestRatio-tol || (ratio < bestRatio+tol && (q < 0 || j < q)) {
+					if ratio < bestRatio {
+						bestRatio = ratio
+					}
+					q = j
+				}
 			}
 		}
 		if q < 0 {
@@ -688,20 +689,53 @@ func (e *Engine) dual() (*Solution, error) {
 		if err := e.doPivot(q, r, theta); err != nil {
 			return nil, err
 		}
-		if len(e.lu.etas) == 0 {
+		if e.lu.numEtas() == 0 {
 			// doPivot refactorized: resync the cache instead of updating it.
 			e.refreshDualD()
 			continue
 		}
-		for j := 0; j < e.sf.nCols; j++ {
-			if aj := alpha[j]; aj != 0 && e.posOf[j] < 0 {
-				e.dualD[j] -= thetaD * aj
+		for w, word := range e.alphaSet {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 | bits.TrailingZeros64(word)
+				if aj := alpha[j]; aj != 0 && e.posOf[j] < 0 {
+					e.dualD[j] -= thetaD * aj
+				}
 			}
 		}
 		e.dualD[q] = 0
 		e.dualD[leaveCol] = -thetaD
 	}
 	return nil, ErrIterationLimit
+}
+
+// pivotRow computes α = ρᵀA into e.alpha for ρ = e.y, row-wise over
+// ρ's nonzeros, and records the columns it reaches in e.alphaSet (after
+// clearing the previous row's). Each α_j sums its terms in ascending row
+// order, as a column-wise pass over A_j would; the terms of the rows
+// where ρ is zero that such a pass adds are ±0 and leave every sum as it
+// is. ρ = Bᵀ⁻¹e_r is sparse on the decoding LPs (about an eighth of its
+// entries at n = 24), so this touches a fraction of A.
+func (e *Engine) pivotRow() {
+	alpha, set := e.alpha, e.alphaSet
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			alpha[w<<6|bits.TrailingZeros64(word)] = 0
+		}
+		set[w] = 0
+	}
+	sf := e.sf
+	for r, yr := range e.y {
+		if yr == 0 {
+			continue
+		}
+		lo, hi := sf.rowStart[r], sf.rowStart[r+1]
+		cols, vals := sf.rowCols[lo:hi], sf.rowVals[lo:hi]
+		vals = vals[:len(cols)]
+		for i, j := range cols {
+			alpha[j] += yr * vals[i]
+			set[j>>6] |= 1 << (j & 63)
+		}
+	}
 }
 
 func (e *Engine) extract() *Solution {

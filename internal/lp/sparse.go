@@ -20,8 +20,8 @@ func (c *spCol) add(row int, v float64) {
 }
 
 // standard is the revised engine's standard form of a Problem: each ≤ row
-// rewritten as an equality with its own slack column, stored column-wise
-// sparse.
+// rewritten as an equality with its own slack column, stored sparse both
+// column-wise and row-wise.
 //
 // Column ids are stable across solves over the same constraint matrix —
 // the property the warm-start contract relies on:
@@ -38,27 +38,61 @@ type standard struct {
 	m, nStruct int
 	nCols      int // nStruct + m
 	cols       []spCol
-	b          []float64 // perturbed RHS, reloaded at every solve
-	sig        uint64    // FNV-1a over the constraint structure (not RHS)
+	// Row-wise copy of the same matrix, for the dual simplex's pivot row:
+	// row r's entries are rowCols[rowStart[r]:rowStart[r+1]] (column ids,
+	// the slack last) with values rowVals.
+	rowStart []int
+	rowCols  []int32
+	rowVals  []float64
+	b        []float64 // perturbed RHS, reloaded at every solve
+	sig      uint64    // FNV-1a over the constraint structure (not RHS)
 }
 
 // buildStandard converts p's constraint matrix; the RHS is loaded by
-// readRHS at every solve.
+// readRHS at every solve. It counts the entries first, so each layout
+// slices one backing array instead of growing a slice per column.
 func buildStandard(p *Problem) *standard {
 	m := len(p.Constraints)
+	nCols := p.NumVars + m
 	s := &standard{
-		m:       m,
-		nStruct: p.NumVars,
-		nCols:   p.NumVars + m,
-		cols:    make([]spCol, p.NumVars+m),
-		b:       make([]float64, m),
+		m:        m,
+		nStruct:  p.NumVars,
+		nCols:    nCols,
+		cols:     make([]spCol, nCols),
+		rowStart: make([]int, m+1),
+		b:        make([]float64, m),
 	}
+	count := make([]int, nCols)
+	nnz := m // one slack entry per row
+	for r, c := range p.Constraints {
+		count[p.NumVars+r] = 1
+		for k, j := range c.Vars {
+			if c.Coeffs[k] != 0 {
+				count[j]++
+				nnz++
+			}
+		}
+	}
+	rows, vals := make([]int32, nnz), make([]float64, nnz)
+	off := 0
+	for j, n := range count {
+		s.cols[j] = spCol{rows: rows[off : off : off+n], vals: vals[off : off : off+n]}
+		off += n
+	}
+	s.rowCols, s.rowVals = make([]int32, 0, nnz), make([]float64, 0, nnz)
 	// Rows are visited in order, so every column lists its rows ascending.
 	for r, c := range p.Constraints {
-		s.cols[p.NumVars+r].add(r, 1)
 		for k, j := range c.Vars {
-			s.cols[j].add(r, c.Coeffs[k])
+			if v := c.Coeffs[k]; v != 0 {
+				s.cols[j].add(r, v)
+				s.rowCols = append(s.rowCols, int32(j))
+				s.rowVals = append(s.rowVals, v)
+			}
 		}
+		s.cols[p.NumVars+r].add(r, 1)
+		s.rowCols = append(s.rowCols, int32(p.NumVars+r))
+		s.rowVals = append(s.rowVals, 1)
+		s.rowStart[r+1] = len(s.rowCols)
 	}
 	s.sig = s.signature()
 	return s

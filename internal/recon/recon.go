@@ -126,8 +126,11 @@ const (
 // LP's constraint matrix depends only on the queries — the answers enter
 // only through the RHS — so the Decoder keeps one revised simplex engine
 // (lp.Engine) for that matrix, built once, and warm-starts each decode
-// from the basis, and the factorization, of the previous one. A Decoder
-// is not safe for concurrent use; each goroutine builds its own.
+// from the basis, and the factorization, of the previous one. A streaming
+// session (Stream) instead starts from the slack basis, the exact optimum
+// of its all-inert first LP, so its output does not depend on what the
+// Decoder solved before. A Decoder is not safe for concurrent use; each
+// goroutine builds its own.
 type Decoder struct {
 	n       int
 	queries [][]int
@@ -199,15 +202,16 @@ func NewDecoder(n int, queries [][]int, objective LPObjective) (*Decoder, error)
 
 // Decode fits a fractional database to one answer vector for the
 // Decoder's query set and rounds it, warm-starting from the basis of the
-// previous decode when one exists. It is the batch wrapper over the
-// streaming path: one Stream session pushing the whole answer vector at
-// once (see StreamDecoder for the incremental, anytime form).
+// previous decode or session when one exists. It is the batch wrapper
+// over the streaming path: one session pushing the whole answer vector at
+// once (see StreamDecoder for the incremental, anytime form), except that
+// it keeps the Decoder's warm-start basis, which Stream drops.
 func (d *Decoder) Decode(ctx context.Context, answers []float64) ([]int64, []float64, error) {
 	if len(answers) != len(d.queries) {
 		return nil, nil, fmt.Errorf("recon: %d answers for %d queries", len(answers), len(d.queries))
 	}
 	mLPDecodes.Add(1)
-	return d.Stream().Push(ctx, answers)
+	return d.session().Push(ctx, answers)
 }
 
 // Round converts a fractional database to binary by thresholding at 1/2.

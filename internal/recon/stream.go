@@ -40,7 +40,10 @@ var mColdRestarts = obs.Default().Counter("recon.stream_cold_restarts")
 // arrive. The matrix (and hence the lp.Basis structure signature) is
 // identical at every step, so each re-solve warm-starts from the
 // previous optimum via the dual simplex: the newly tightened rows are
-// the only violated ones.
+// the only violated ones. The first push starts from the slack basis
+// (x = 0, e = 0), which is the all-inert LP's optimum, so a session's
+// output depends only on the queries and the answers it was pushed, not
+// on what its Decoder solved before.
 //
 // After the final push the LP is exactly the batch decoding LP
 // (Decoder.Decode is itself a thin wrapper that streams the whole answer
@@ -50,9 +53,9 @@ var mColdRestarts = obs.Default().Counter("recon.stream_cold_restarts")
 // (noise c = 0). With noisy answers the L1 decoding LP is often
 // degenerate, and the warm-started path can stop at a different optimal
 // vertex than the one-push decode: measured at n = 24, m = 4n, chunks of
-// 8, in about 1% of query sets at noise c = 0.25 and 14% at c = 1
-// (perfbench lp-recon, seed 1, 20 s: 2 and 37 of 268 rounds; seed 2,
-// 10 s: 2 and 25 of 159). A StreamDecoder borrows its Decoder — run one
+// 8, in about 1% of query sets at noise c = 0.25 and 16% at c = 1
+// (perfbench lp-recon, seed 1, 20 s: 6 and 83 of 512 rounds; seed 2,
+// 10 s: 2 and 39 of 257). A StreamDecoder borrows its Decoder — run one
 // session at a time and do not interleave Decode calls with an active
 // session.
 type StreamDecoder struct {
@@ -63,7 +66,21 @@ type StreamDecoder struct {
 // Stream starts a streaming session over the decoder's workload: every
 // query is reset to unanswered (inert constraint rows) and the session
 // ingests answers in order via Push or PushOracle.
+//
+// The all-inert LP's optimum is known exactly: the slack basis, x = 0
+// and e = 0. So Stream also drops the decoder's warm-start basis, and the
+// session's first push solves from B = I, with only the pushed rows to
+// repair, instead of from the optimum of whatever the decoder solved
+// last. A session's output therefore does not depend on the decoder's
+// history.
 func (d *Decoder) Stream() *StreamDecoder {
+	d.basis = nil
+	return d.session()
+}
+
+// session resets every query to unanswered and starts a session that
+// keeps the decoder's warm-start basis.
+func (d *Decoder) session() *StreamDecoder {
 	for qi := range d.queries {
 		d.cons[2*qi].RHS = float64(d.n)
 		d.cons[2*qi+1].RHS = 0

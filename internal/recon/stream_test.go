@@ -1,6 +1,7 @@
 package recon
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -281,5 +282,130 @@ func TestReusedDecoderMatchesFresh(t *testing.T) {
 	}
 	if e := HammingError(y, reused); e != 0 {
 		t.Errorf("reused decoder's reconstruction error = %v, want 0 on exact answers", e)
+	}
+}
+
+// TestStreamSessionIgnoresDecoderHistory: Stream drops the decoder's
+// warm-start basis, because the all-inert LP a session starts from is
+// optimal at the slack basis. So a session on a decoder that already ran
+// an earlier session and a Decode returns, at every push, the fractional
+// vector a session on a fresh decoder returns, bit for bit. And its first
+// push is a solve of the pushed rows from B = I — about 24 pivots on the
+// lp-recon shape (n = 24, pushes of 8) — not a re-solve from the last
+// decode's full-answer optimum, which takes about 178 on these sets.
+func TestStreamSessionIgnoresDecoderHistory(t *testing.T) {
+	const firstPushBudget = 60 // mean pivots of a session's first push
+	const n, chunk = 24, 8
+	reg := obs.Default()
+	wasEnabled := reg.Enabled()
+	reg.SetEnabled(true)
+	defer reg.SetEnabled(wasEnabled)
+	pivots := reg.Counter("lp.pivots")
+	session := func(dec *Decoder, answers []float64, first *int64) [][]float64 {
+		t.Helper()
+		sd := dec.Stream()
+		var fracs [][]float64
+		for i := 0; i < len(answers); i += chunk {
+			before := pivots.Value()
+			_, frac, err := sd.Push(ctx, answers[i:i+chunk])
+			if err != nil {
+				t.Fatalf("push at %d: %v", i, err)
+			}
+			if i == 0 && first != nil {
+				*first += pivots.Value() - before
+			}
+			fracs = append(fracs, frac)
+		}
+		return fracs
+	}
+	sessions := int64(0)
+	firstPivots := int64(0)
+	for seed := int64(1); seed <= 10; seed++ {
+		for _, c := range []float64{0, 0.25, 1, 2} {
+			rng := rand.New(rand.NewSource(seed))
+			x := synth.BinaryDataset(rng, n, 0.5)
+			o := &query.BoundedNoise{X: x, Alpha: c * math.Sqrt(n), Rng: rand.New(rand.NewSource(rng.Int63()))}
+			queries := query.RandomSubsets(rng, n, 4*n)
+			earlier, err := o.Answer(ctx, queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers, err := o.Answer(ctx, queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			used, err := NewDecoder(n, queries, L1Slack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			session(used, earlier, nil)
+			if _, _, err := used.Decode(ctx, answers); err != nil {
+				t.Fatal(err)
+			}
+			got := session(used, answers, &firstPivots)
+			sessions++
+			fresh, err := NewDecoder(n, queries, L1Slack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := session(fresh, answers, nil)
+			for k := range want {
+				if !slices.EqualFunc(got[k], want[k], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+					t.Fatalf("seed %d, c = %g, push %d: used decoder gave %v, fresh decoder %v", seed, c, k, got[k], want[k])
+				}
+			}
+		}
+	}
+	mean := float64(firstPivots) / float64(sessions)
+	t.Logf("%d sessions: first push after a Decode took %.1f pivots on average", sessions, mean)
+	if mean > firstPushBudget {
+		t.Errorf("first push after a Decode took %.1f pivots on average, budget %d", mean, firstPushBudget)
+	}
+}
+
+// BenchmarkDecodeThenStream times the lp-recon benchmark's round shape
+// for one noise level: n = 24, m = 4n BoundedNoise answers at α = c·√n,
+// a new Decoder's cold Decode, then a 12-push session of 8 answers on the
+// same Decoder. It reports pivots/op and ns/pivot, so the pivot count and
+// the cost of a pivot show separately.
+func BenchmarkDecodeThenStream(b *testing.B) {
+	const n, chunk = 24, 8
+	for _, c := range []float64{0, 0.25, 1} {
+		b.Run(fmt.Sprintf("c=%g", c), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			x := synth.BinaryDataset(rng, n, 0.5)
+			o := &query.BoundedNoise{X: x, Alpha: c * math.Sqrt(n), Rng: rand.New(rand.NewSource(rng.Int63()))}
+			queries := query.RandomSubsets(rng, n, 4*n)
+			answers, err := o.Answer(ctx, queries)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reg := obs.Default()
+			wasEnabled := reg.Enabled()
+			reg.SetEnabled(true)
+			defer reg.SetEnabled(wasEnabled)
+			pivots := reg.Counter("lp.pivots")
+			before := pivots.Value()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dec, err := NewDecoder(n, queries, L1Slack)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := dec.Decode(ctx, answers); err != nil {
+					b.Fatal(err)
+				}
+				sd := dec.Stream()
+				for k := 0; k < len(answers); k += chunk {
+					if _, _, err := sd.Push(ctx, answers[k:k+chunk]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			used := pivots.Value() - before
+			b.ReportMetric(float64(used)/float64(b.N), "pivots/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(used), "ns/pivot")
+		})
 	}
 }
